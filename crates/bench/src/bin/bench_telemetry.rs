@@ -16,7 +16,7 @@
 use recode_bench::{corpus_entries, parse_args};
 use recode_codec::pipeline::MatrixCodecConfig;
 use recode_core::corpus::CorpusScale;
-use recode_core::exec::RecodedSpmv;
+use recode_core::exec::{RecodedSpmv, RunOptions};
 use recode_core::json::Json;
 use recode_core::recorder;
 use recode_core::telemetry::Telemetry;
@@ -126,7 +126,8 @@ fn overhead(sys: &SystemConfig) -> Json {
     let untraced_wall_ns = median_wall_ns(untraced);
     let traced_wall_ns = median_wall_ns(|| {
         let mut tel = Telemetry::new();
-        let (_, stats) = r.decompress_via_udp_traced(sys, None, Some(&mut tel)).expect("traced");
+        let opts = RunOptions { trace: Some(&mut tel), ..RunOptions::default() };
+        let (_, stats) = r.decompress_via_udp_with(sys, opts).expect("traced");
         std::hint::black_box((stats.accel.makespan_cycles, tel.block_events().len()));
     });
     let recorder_off_wall_ns = median_wall_ns(untraced);

@@ -31,7 +31,7 @@
 
 use crate::arch::SystemConfig;
 use crate::error::ExecError;
-use crate::exec::{ExecStats, RawFallbackStore, RecodedSpmv};
+use crate::exec::{ExecStats, RawFallbackStore, RecodedSpmv, RunOptions};
 use crate::json::Json;
 use crate::overlap::{OverlapConfig, OverlapExecutor};
 use crate::resilience::{CircuitBreaker, JobBudget, JobState};
@@ -108,7 +108,7 @@ impl std::fmt::Display for TrialOutcome {
 enum Arm {
     /// `RecodedSpmv::run_job` — budget + campaign-wide circuit breaker.
     BatchJob,
-    /// `OverlapExecutor::spmv_budgeted` — pipelined decode/multiply.
+    /// `OverlapExecutor::spmv_with` — pipelined decode/multiply.
     Overlap,
     /// `RecodedSpmv::spmv_traced` — full telemetry, document validated.
     Traced,
@@ -466,6 +466,7 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
         Injection::PoolRecycle => poison_pool(),
     }
     let hook = if hook.is_empty() { None } else { Some(&hook) };
+    let opts = RunOptions { faults: hook, budget: Some(&plan.budget), trace: None };
 
     let mut result = TrialResult {
         outcome: TrialOutcome::Rejected,
@@ -478,7 +479,7 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
     match plan.arm {
         Arm::BatchJob => {
             let mut breaker = ctx.breaker.lock().unwrap_or_else(PoisonError::into_inner);
-            let report = r.run_job(&ctx.sys, hook, &plan.budget, Some(&mut breaker), None);
+            let report = r.run_job(&ctx.sys, opts, Some(&mut breaker));
             result.outcome = match report.state {
                 JobState::Completed => TrialOutcome::Completed,
                 JobState::Degraded => TrialOutcome::Degraded,
@@ -501,7 +502,7 @@ fn run_trial(ctx: &Ctx, plan: &TrialPlan) -> TrialResult {
                 &r,
                 OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 },
             );
-            match ex.spmv_budgeted(&ctx.sys, &ctx.x, hook, &plan.budget) {
+            match ex.spmv_with(&ctx.sys, &ctx.x, opts) {
                 Ok((y, stats)) => {
                     result.outcome = if stats.degraded {
                         TrialOutcome::Degraded

@@ -9,12 +9,17 @@
 //! ## Fault tolerance
 //!
 //! A batch never dies on one bad block. Each failed job (lane trap or CRC
-//! mismatch) is retried up to [`MAX_BLOCK_RETRIES`] times on a fresh lane —
-//! transient faults clear, integrity failures do not — and a block that
-//! still fails is re-fetched from the optional [`RawFallbackStore`] holding
-//! the uncompressed stream bytes, with the extra memory traffic charged to
-//! [`ExecStats`]. Only when both paths are exhausted does the call fail,
-//! with [`ExecError::Unrecoverable`] naming the block.
+//! mismatch) goes down one fault ladder, [`RecodedSpmv::recover_block`],
+//! which the pipelined [`crate::overlap::OverlapExecutor`] shares: up to
+//! [`MAX_BLOCK_RETRIES`] retries on a fresh lane — transient faults clear,
+//! integrity failures do not — then a re-fetch from the optional
+//! [`RawFallbackStore`] holding the uncompressed stream bytes, with the
+//! extra memory traffic charged to [`ExecStats`]. Only when both paths are
+//! exhausted does the call fail, with [`ExecError::Unrecoverable`] naming
+//! the block.
+//!
+//! Fault injection, a [`JobBudget`] and a [`Telemetry`] registry reach
+//! every executor entry point through one [`RunOptions`] value.
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
@@ -26,14 +31,14 @@ use crate::resilience::{
 use crate::telemetry::{
     BlockEvent, BlockOutcome, MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument,
 };
-use recode_codec::block::{BlockStream, CompressedBlock};
+use recode_codec::block::BlockStream;
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_codec::telemetry::StageTelemetry;
 use recode_codec::CodecError;
 use recode_mem::traffic::TrafficSource;
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
 use recode_sparse::Csr;
-use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink};
+use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink, JobOutcome};
 use recode_udp::progs::DshDecoder;
 use recode_udp::{Lane, UdpError};
 use std::collections::BTreeMap;
@@ -43,6 +48,28 @@ use std::time::Instant;
 /// How many times a failed block is re-decoded on a fresh lane before the
 /// raw-store fallback kicks in.
 pub const MAX_BLOCK_RETRIES: usize = 2;
+
+/// What one executor run is asked to do besides decoding:
+/// `RunOptions::default()` is the plain, unbudgeted, untraced run.
+#[derive(Debug, Default)]
+pub struct RunOptions<'a> {
+    /// Faults injected into each block's first decode attempt; retries run
+    /// hook-free, modeling transient faults that clear.
+    pub faults: Option<&'a FaultHook>,
+    /// Limits consulted at every retry boundary.
+    pub budget: Option<&'a JobBudget>,
+    /// Registry the run records spans, counters, block events and traffic
+    /// into.
+    pub trace: Option<&'a mut Telemetry>,
+}
+
+impl RunOptions<'_> {
+    /// The same options with the registry lent out, so the caller can keep
+    /// recording into it after the run.
+    fn reborrow(&mut self) -> RunOptions<'_> {
+        RunOptions { faults: self.faults, budget: self.budget, trace: self.trace.as_deref_mut() }
+    }
+}
 
 /// Statistics from one UDP-decoded execution.
 #[derive(Debug, Clone, Default)]
@@ -146,12 +173,6 @@ pub struct RecodedSpmv {
     /// ([`RecodedSpmv::new_traced`]). Encode timings accumulate at
     /// compression; decode timings whenever the software path runs.
     stage_telemetry: Option<Arc<StageTelemetry>>,
-}
-
-/// Job classification for the interleaved decode batch.
-enum Which<'a> {
-    Index(&'a CompressedBlock),
-    Value(&'a CompressedBlock),
 }
 
 /// Transport-structure check: block count and sequence positions. Per-block
@@ -279,11 +300,6 @@ impl RecodedSpmv {
         &self.value_decoder
     }
 
-    /// The raw fallback store, if one was kept at compression time.
-    pub(crate) fn raw_store(&self) -> Option<&RawFallbackStore> {
-        self.raw_store.as_ref()
-    }
-
     /// Mutable access to the compressed representation — the fault-injection
     /// tests corrupt blocks through this.
     pub fn compressed_mut(&mut self) -> &mut CompressedMatrix {
@@ -298,73 +314,50 @@ impl RecodedSpmv {
     /// retries, and no fallback store covers it; [`ExecError::Reassembly`]
     /// if the decoded streams do not form a valid matrix.
     pub fn decompress_via_udp(&self, sys: &SystemConfig) -> ExecResult<(Csr, ExecStats)> {
-        self.decompress_via_udp_faulty(sys, None)
+        self.decompress_via_udp_with(sys, RunOptions::default())
     }
 
-    /// [`RecodedSpmv::decompress_via_udp`] with an optional fault-injection
-    /// hook applied to the initial batch (retries run hook-free, modeling
-    /// transient faults that clear on a second attempt).
+    /// [`RecodedSpmv::decompress_via_udp`] under `opts`.
     ///
-    /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`].
-    pub fn decompress_via_udp_faulty(
-        &self,
-        sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-    ) -> ExecResult<(Csr, ExecStats)> {
-        self.decompress_via_udp_traced(sys, hook, None)
-    }
-
-    /// [`RecodedSpmv::decompress_via_udp_faulty`] with an optional telemetry
-    /// registry. When `tel` is `Some`, the run records per-phase spans
-    /// (`exec.decode_batch`, `exec.retry`, `exec.fallback`,
-    /// `exec.reassemble`, `exec.mem_stream`, `exec.dma`), per-block events
-    /// with lane and outcome, dotted counters, and memory traffic by source;
-    /// when `None`, no clocks are read and no events are collected.
-    ///
-    /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`].
-    pub fn decompress_via_udp_traced(
-        &self,
-        sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-        tel: Option<&mut Telemetry>,
-    ) -> ExecResult<(Csr, ExecStats)> {
-        self.decompress_via_udp_budgeted(sys, hook, tel, None)
-    }
-
-    /// [`RecodedSpmv::decompress_via_udp_traced`] governed by a
-    /// [`JobBudget`]. Budget limits are checked at every retry boundary —
-    /// the job's natural preemption points — so an exhausted budget
-    /// surfaces as [`ExecError::DeadlineExceeded`] naming what ran out,
-    /// never as a hang. Per-retry backoff accumulates into
-    /// [`ExecStats::backoff_cycles`] and stretches the modeled makespan
-    /// without touching busy cycles. `budget: None` (or an unbounded
-    /// budget) behaves exactly like the unbudgeted path.
+    /// * `faults` applies to the initial batch only; retries run hook-free,
+    ///   modeling transient faults that clear on a second attempt.
+    /// * `budget` is checked at every retry boundary — the job's natural
+    ///   preemption points — so an exhausted budget surfaces as
+    ///   [`ExecError::DeadlineExceeded`] naming what ran out, never as a
+    ///   hang. Per-retry backoff accumulates into
+    ///   [`ExecStats::backoff_cycles`] and stretches the modeled makespan
+    ///   without touching busy cycles; an unbounded budget behaves exactly
+    ///   like none.
+    /// * `trace` records per-phase spans (`exec.decode_batch`,
+    ///   `exec.retry`, `exec.fallback`, `exec.reassemble`,
+    ///   `exec.mem_stream`, `exec.dma`), per-block events with lane and
+    ///   outcome, dotted counters, and memory traffic by source; when
+    ///   `None`, no clocks are read and no events are collected.
     ///
     /// # Errors
     /// As [`RecodedSpmv::decompress_via_udp`], plus
     /// [`ExecError::DeadlineExceeded`] when the budget runs out.
-    pub fn decompress_via_udp_budgeted(
+    pub fn decompress_via_udp_with(
         &self,
         sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-        tel: Option<&mut Telemetry>,
-        budget: Option<&JobBudget>,
+        opts: RunOptions<'_>,
     ) -> ExecResult<(Csr, ExecStats)> {
+        let RunOptions { faults, budget, trace: tel } = opts;
         check_stream_structure(&self.compressed.index_stream)?;
         check_stream_structure(&self.compressed.value_stream)?;
 
         // Interleave index and value blocks, as the DMA engine would.
         let n_index = self.compressed.index_stream.blocks.len();
-        let mut jobs: Vec<Which<'_>> =
-            Vec::with_capacity(n_index + self.compressed.value_stream.blocks.len());
-        jobs.extend(self.compressed.index_stream.blocks.iter().map(Which::Index));
-        jobs.extend(self.compressed.value_stream.blocks.iter().map(Which::Value));
+        let jobs: Vec<(StreamKind, usize)> = (0..n_index)
+            .map(|pos| (StreamKind::Index, pos))
+            .chain(
+                (0..self.compressed.value_stream.blocks.len()).map(|pos| (StreamKind::Value, pos)),
+            )
+            .collect();
 
-        let run = |lane: &mut Lane, job: &Which<'_>| match job {
-            Which::Index(b) => self.index_decoder.decode_block(lane, b),
-            Which::Value(b) => self.value_decoder.decode_block(lane, b),
+        let run = |lane: &mut Lane, &(stream, pos): &(StreamKind, usize)| {
+            let (decoder, encoded, _) = self.stream_parts(stream);
+            decoder.decode_block(lane, &encoded.blocks[pos])
         };
         let empty_hook = FaultHook::default();
         let pool_before = tel.is_some().then(|| recode_udp::pool::global().stats());
@@ -386,7 +379,7 @@ impl RecodedSpmv {
         let t_batch = tel.is_some().then(Instant::now);
         let outcome: BatchOutcome<UdpError> = {
             let _span = recorder::span(recorder::Track::MAIN, "exec.decode_batch");
-            sys.udp.run_jobs_observed(&jobs, run, hook.unwrap_or(&empty_hook), sink)
+            sys.udp.run_jobs_observed(&jobs, run, faults.unwrap_or(&empty_hook), sink)
         };
         let batch_ns = t_batch.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
@@ -406,108 +399,45 @@ impl RecodedSpmv {
         let mut outputs: Vec<Vec<u8>> = Vec::with_capacity(jobs.len());
 
         for (k, result) in outcome.results.into_iter().enumerate() {
-            let first_err = match result {
-                Ok(o) => {
-                    blocks_ok += 1;
-                    outputs.push(o.output);
-                    continue;
-                }
-                Err(e) => e,
-            };
-            // Bounded retry on a fresh lane. Transient faults (injected
-            // traps, late DMA) clear; CRC failures repeat deterministically
-            // and fall through to the raw store.
-            let mut recovered: Option<Vec<u8>> = None;
-            let mut last_err = first_err;
+            if let Ok(o) = result {
+                blocks_ok += 1;
+                outputs.push(o.output);
+                continue;
+            }
             let t_retry = tel.is_some().then(Instant::now);
             // One pooled lane serves every retry attempt: `run` fully
             // resets lane state, so attempt N is as "fresh" as a new lane.
             let mut lane = recode_udp::pool::global().checkout();
-            for attempt in 0..MAX_BLOCK_RETRIES {
-                recorder::record(
-                    recorder::EventKind::Retry,
-                    recorder::Track::MAIN,
-                    "exec.retry",
-                    attempt as u64 + 1,
-                    k as u64,
-                );
-                // Retry boundaries are the job's preemption points: the
-                // budget is consulted before every attempt, and an
-                // exhausted one ends the job in a typed terminal state.
-                if let Some(t) = tracker.as_mut() {
-                    if let Err(what) = t.admit_retry() {
-                        return Err(ExecError::DeadlineExceeded {
-                            budget: what.to_string(),
-                            completed_blocks: blocks_ok + blocks_recovered + blocks_fell_back,
-                            total_blocks: jobs.len(),
-                        });
-                    }
-                }
-                blocks_retried += 1;
-                match run(&mut lane, &jobs[k]) {
-                    Ok(o) => {
-                        report.output_bytes += o.output.len() as u64;
-                        report.opclass.merge(&o.opclass);
-                        report.stage_cycles.merge(&o.stage_cycles);
-                        retry_cycles += o.cycles;
-                        if let Some(t) = tracker.as_mut() {
-                            t.charge_retry_cycles(o.cycles);
-                        }
-                        recovered_jobs.insert(k, (o.cycles, BlockOutcome::Retried));
-                        recovered = Some(o.output);
-                        break;
-                    }
-                    Err(e) => last_err = e,
-                }
-            }
+            let (stream, pos) = jobs[k];
+            let recovered = self
+                .recover_block(stream, pos, k, &mut lane, recorder::Track::MAIN, tracker.as_mut())
+                .map_err(|e| {
+                    with_completed_blocks(e, blocks_ok + blocks_recovered + blocks_fell_back)
+                })?;
             if let Some(t) = t_retry {
                 retry_ns += t.elapsed().as_nanos() as u64;
             }
-            if let Some(bytes) = recovered {
-                blocks_recovered += 1;
-                outputs.push(bytes);
-                continue;
-            }
-            // Retries exhausted: re-fetch the block's uncompressed range.
-            let t_fallback = tel.is_some().then(Instant::now);
-            let (store, block_bytes, pos) = if k < n_index {
-                (
-                    self.raw_store.as_ref().map(|s| s.index_bytes.as_slice()),
-                    self.compressed.index_stream.block_bytes,
-                    k,
-                )
-            } else {
-                (
-                    self.raw_store.as_ref().map(|s| s.value_bytes.as_slice()),
-                    self.compressed.value_stream.block_bytes,
-                    k - n_index,
-                )
-            };
-            let raw = store.and_then(|b| RawFallbackStore::block_range(b, pos, block_bytes));
-            if let Some(t) = t_fallback {
-                fallback_ns += t.elapsed().as_nanos() as u64;
-            }
-            match raw {
-                Some(raw) => {
-                    recorder::record(
-                        recorder::EventKind::Fallback,
-                        recorder::Track::MAIN,
-                        "exec.fallback",
-                        raw.len() as u64,
-                        k as u64,
-                    );
+            blocks_retried += recovered.attempts();
+            match recovered {
+                Recovered::Retried { outcome: o, .. } => {
+                    report.output_bytes += o.output.len() as u64;
+                    report.opclass.merge(&o.opclass);
+                    report.stage_cycles.merge(&o.stage_cycles);
+                    retry_cycles += o.cycles;
+                    recovered_jobs.insert(k, (o.cycles, BlockOutcome::Retried));
+                    blocks_recovered += 1;
+                    outputs.push(o.output);
+                }
+                Recovered::FellBack(raw) => {
+                    let t_fallback = tel.is_some().then(Instant::now);
                     blocks_fell_back += 1;
                     fallback_bytes += raw.len();
                     report.output_bytes += raw.len() as u64;
                     recovered_jobs.insert(k, (0, BlockOutcome::FellBack));
                     outputs.push(raw.to_vec());
-                }
-                None => {
-                    return Err(ExecError::Unrecoverable {
-                        block: last_err.block().or(Some(pos)),
-                        lane: None,
-                        source: last_err,
-                    });
+                    if let Some(t) = t_fallback {
+                        fallback_ns += t.elapsed().as_nanos() as u64;
+                    }
                 }
             }
         }
@@ -645,11 +575,7 @@ impl RecodedSpmv {
             for e in evs {
                 let (cycles, outcome) =
                     recovered_jobs.get(&e.job).copied().unwrap_or((e.cycles, BlockOutcome::Ok));
-                let (stream, block) = if e.job < n_index {
-                    (StreamKind::Index, e.job)
-                } else {
-                    (StreamKind::Value, e.job - n_index)
-                };
+                let (stream, block) = jobs[e.job];
                 tel.block_event(BlockEvent {
                     job: e.job,
                     stream,
@@ -674,41 +600,42 @@ impl RecodedSpmv {
         kernel: SpmvKernel,
         x: &[f64],
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.spmv_faulty(sys, kernel, x, None)
+        self.spmv_with(sys, kernel, x, RunOptions::default())
     }
 
-    /// [`RecodedSpmv::spmv`] with an optional fault-injection hook.
+    /// [`RecodedSpmv::spmv`] under `opts`, as for
+    /// [`RecodedSpmv::decompress_via_udp_with`]. A traced run also records
+    /// the `exec.cpu_multiply` span and the dense-vector traffic.
     ///
     /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`].
-    pub fn spmv_faulty(
+    /// As [`RecodedSpmv::decompress_via_udp_with`].
+    pub fn spmv_with(
         &self,
         sys: &SystemConfig,
         kernel: SpmvKernel,
         x: &[f64],
-        hook: Option<&FaultHook>,
+        mut opts: RunOptions<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        let (a, stats) = self.decompress_via_udp_faulty(sys, hook)?;
+        let (a, stats) = self.decompress_via_udp_with(sys, opts.reborrow())?;
+        let t_multiply = opts.trace.is_some().then(Instant::now);
         let mut y = vec![0.0; a.nrows()];
         spmv_with_into(kernel, &a, x, &mut y);
-        Ok((y, stats))
-    }
-
-    /// [`RecodedSpmv::spmv_faulty`] governed by a [`JobBudget`].
-    ///
-    /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp_budgeted`].
-    pub fn spmv_budgeted(
-        &self,
-        sys: &SystemConfig,
-        kernel: SpmvKernel,
-        x: &[f64],
-        hook: Option<&FaultHook>,
-        budget: &JobBudget,
-    ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        let (a, stats) = self.decompress_via_udp_budgeted(sys, hook, None, Some(budget))?;
-        let mut y = vec![0.0; a.nrows()];
-        spmv_with_into(kernel, &a, x, &mut y);
+        if let (Some(tel), Some(t)) = (opts.trace, t_multiply) {
+            let multiply_ns = t.elapsed().as_nanos() as u64;
+            // The multiply streams the dense vectors through the memory
+            // interface (the decoded matrix stays on-chip in the paper's
+            // tiled flow, so only x and y are charged to DRAM).
+            let vector_read = (a.ncols() * 8) as u64;
+            let vector_write = (a.nrows() * 8) as u64;
+            tel.traffic.read(TrafficSource::Vectors, vector_read);
+            tel.traffic.write(TrafficSource::Vectors, vector_write);
+            tel.span(
+                "exec.cpu_multiply",
+                multiply_ns,
+                sys.mem.stream_seconds(vector_read + vector_write),
+                vector_read + vector_write,
+            );
+        }
         Ok((y, stats))
     }
 
@@ -718,27 +645,19 @@ impl RecodedSpmv {
     fn software_stats(&self, sys: &SystemConfig) -> ExecStats {
         let compressed_bytes = self.compressed.wire_bytes();
         ExecStats {
-            accel: AccelReport::default(),
             mem_stream_seconds: sys.mem.stream_seconds(compressed_bytes as u64),
-            dma_seconds: 0.0,
             compressed_bytes,
-            blocks_retried: 0,
-            blocks_fell_back: 0,
-            fallback_bytes: 0,
-            retry_cycles: 0,
-            backoff_cycles: 0,
             degraded: true,
             software_decode: true,
-            blocks_ok: 0,
-            blocks_recovered: 0,
-            overlap: OverlapStats::default(),
+            ..ExecStats::default()
         }
     }
 
-    /// One fully governed job: circuit-breaker admission, a budgeted
-    /// accelerator run, degradation to the software decoder when the
-    /// breaker is open, and a typed terminal [`JobState`] no matter what
-    /// happened — [`JobReport`] is total over all outcomes.
+    /// One fully governed job: circuit-breaker admission, an accelerator
+    /// run under `opts` (normally with a budget), degradation to the
+    /// software decoder when the breaker is open, and a typed terminal
+    /// [`JobState`] no matter what happened — [`JobReport`] is total over
+    /// all outcomes.
     ///
     /// The degradation ladder, top to bottom: accelerator happy path →
     /// per-block retry → per-block raw-CSR re-fetch → (breaker open)
@@ -747,16 +666,13 @@ impl RecodedSpmv {
     pub fn run_job(
         &self,
         sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-        budget: &JobBudget,
+        mut opts: RunOptions<'_>,
         mut breaker: Option<&mut CircuitBreaker>,
-        mut tel: Option<&mut Telemetry>,
     ) -> JobReport {
-        let report =
-            self.run_job_inner(sys, hook, budget, breaker.as_deref_mut(), tel.as_deref_mut());
+        let report = self.run_job_inner(sys, opts.reborrow(), breaker.as_deref_mut());
         // Breaker posture after the job, as `breaker.*` counters (v2
         // content). `breaker.state` is a code: 0 closed, 1 open, 2 half-open.
-        if let (Some(tel), Some(b)) = (tel, breaker.as_deref()) {
+        if let (Some(tel), Some(b)) = (opts.trace, breaker.as_deref()) {
             tel.add("breaker.trips", b.trips());
             tel.add("breaker.probes", b.probes());
             tel.add(
@@ -774,10 +690,8 @@ impl RecodedSpmv {
     fn run_job_inner(
         &self,
         sys: &SystemConfig,
-        hook: Option<&FaultHook>,
-        budget: &JobBudget,
+        opts: RunOptions<'_>,
         mut breaker: Option<&mut CircuitBreaker>,
-        tel: Option<&mut Telemetry>,
     ) -> JobReport {
         let admitted = breaker.as_deref_mut().is_none_or(CircuitBreaker::admit);
         if !admitted {
@@ -804,7 +718,7 @@ impl RecodedSpmv {
                 },
             };
         }
-        match self.decompress_via_udp_budgeted(sys, hook, tel, Some(budget)) {
+        match self.decompress_via_udp_with(sys, opts) {
             Ok((a, stats)) => {
                 if let Some(b) = breaker.as_deref_mut() {
                     b.record(stats.accel.jobs, stats.accel.jobs_failed);
@@ -822,9 +736,7 @@ impl RecodedSpmv {
             Err(e) => {
                 if let Some(b) = breaker.as_deref_mut() {
                     // A run that died counts fully against the window.
-                    let jobs = (self.compressed.index_stream.blocks.len()
-                        + self.compressed.value_stream.blocks.len())
-                    .max(1);
+                    let jobs = self.total_blocks().max(1);
                     b.record(jobs, jobs);
                 }
                 let state = match &e {
@@ -851,46 +763,21 @@ impl RecodedSpmv {
     pub fn run_job_traced(
         &self,
         sys: &SystemConfig,
-        hook: Option<&FaultHook>,
+        faults: Option<&FaultHook>,
         budget: &JobBudget,
         breaker: Option<&mut CircuitBreaker>,
         name: &str,
     ) -> (JobReport, Option<TraceDocument>) {
         let t_total = Instant::now();
         let mut tel = Telemetry::new();
-        let report = self.run_job(sys, hook, budget, breaker, Some(&mut tel));
-        let doc = match (&report.matrix, &report.stats) {
-            (Some(a), Some(stats)) => {
-                let matrix = MatrixMeta {
-                    name: name.to_string(),
-                    nrows: a.nrows(),
-                    ncols: a.ncols(),
-                    nnz: a.nnz(),
-                    compressed_bytes: stats.compressed_bytes,
-                    bytes_per_nnz: self.compressed.bytes_per_nnz(),
-                };
-                let system = SystemMeta {
-                    memory: sys.mem.name.to_string(),
-                    lanes: sys.udp.lanes,
-                    freq_hz: sys.udp.freq_hz,
-                };
-                let codec_stages =
-                    self.stage_telemetry.as_ref().map(|t| t.snapshot()).unwrap_or_default();
-                Some(tel.into_document(
-                    matrix,
-                    system,
-                    stats.clone(),
-                    codec_stages,
-                    &sys.mem,
-                    t_total.elapsed().as_nanos() as u64,
-                ))
-            }
-            _ => None,
-        };
+        let opts = RunOptions { faults, budget: Some(budget), trace: Some(&mut tel) };
+        let report = self.run_job(sys, opts, breaker);
+        let doc =
+            report.stats.as_ref().map(|stats| self.seal_trace(tel, sys, stats, name, t_total));
         (report, doc)
     }
 
-    /// Fully traced SpMV: [`RecodedSpmv::spmv_faulty`] plus a sealed
+    /// Fully traced SpMV: [`RecodedSpmv::spmv_with`] plus a sealed
     /// [`TraceDocument`] covering every phase — UDP decode with per-lane and
     /// per-opcode-class breakdowns, retry/fallback recovery, reassembly,
     /// modeled memory/DMA streaming, and the CPU multiply — along with
@@ -905,39 +792,36 @@ impl RecodedSpmv {
         sys: &SystemConfig,
         kernel: SpmvKernel,
         x: &[f64],
-        hook: Option<&FaultHook>,
+        faults: Option<&FaultHook>,
         name: &str,
     ) -> ExecResult<(Vec<f64>, ExecStats, TraceDocument)> {
         let t_total = Instant::now();
         let mut tel = Telemetry::new();
-        let (a, stats) = self.decompress_via_udp_traced(sys, hook, Some(&mut tel))?;
+        let opts = RunOptions { faults, trace: Some(&mut tel), ..RunOptions::default() };
+        let (y, stats) = self.spmv_with(sys, kernel, x, opts)?;
+        let doc = self.seal_trace(tel, sys, &stats, name, t_total);
+        Ok((y, stats, doc))
+    }
 
-        let t_multiply = Instant::now();
-        let mut y = vec![0.0; a.nrows()];
-        spmv_with_into(kernel, &a, x, &mut y);
-        let multiply_ns = t_multiply.elapsed().as_nanos() as u64;
-
-        // The multiply streams the dense vectors through the memory
-        // interface (the decoded matrix stays on-chip in the paper's tiled
-        // flow, so only x and y are charged to DRAM).
-        let vector_read = (a.ncols() * 8) as u64;
-        let vector_write = (a.nrows() * 8) as u64;
-        tel.traffic.read(TrafficSource::Vectors, vector_read);
-        tel.traffic.write(TrafficSource::Vectors, vector_write);
-        tel.span(
-            "exec.cpu_multiply",
-            multiply_ns,
-            sys.mem.stream_seconds(vector_read + vector_write),
-            vector_read + vector_write,
-        );
-
+    /// Seals a traced run of either executor over this matrix into its
+    /// [`TraceDocument`]: matrix and system metadata, the codec-stage
+    /// snapshot, and the wall time since `t_total`.
+    pub(crate) fn seal_trace(
+        &self,
+        tel: Telemetry,
+        sys: &SystemConfig,
+        stats: &ExecStats,
+        name: &str,
+        t_total: Instant,
+    ) -> TraceDocument {
+        let cm = &self.compressed;
         let matrix = MatrixMeta {
             name: name.to_string(),
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
+            nrows: cm.nrows,
+            ncols: cm.ncols,
+            nnz: cm.nnz,
             compressed_bytes: stats.compressed_bytes,
-            bytes_per_nnz: self.compressed.bytes_per_nnz(),
+            bytes_per_nnz: cm.bytes_per_nnz(),
         };
         let system = SystemMeta {
             memory: sys.mem.name.to_string(),
@@ -946,9 +830,7 @@ impl RecodedSpmv {
         };
         let codec_stages = self.stage_telemetry.as_ref().map(|t| t.snapshot()).unwrap_or_default();
         let wall_ns_total = t_total.elapsed().as_nanos() as u64;
-        let doc =
-            tel.into_document(matrix, system, stats.clone(), codec_stages, &sys.mem, wall_ns_total);
-        Ok((y, stats, doc))
+        tel.into_document(matrix, system, stats.clone(), codec_stages, &sys.mem, wall_ns_total)
     }
 
     /// Software-only decode path (reference), for differential testing.
@@ -964,104 +846,146 @@ impl RecodedSpmv {
         }
     }
 
-    /// **Streaming tiled SpMV** — the paper's Fig. 7 execution mode. The
-    /// matrix is *never* materialized: index and value blocks are decoded
-    /// one tile at a time on a UDP lane and multiplied immediately, so
-    /// resident memory stays `O(block)` instead of `O(nnz)`. Rows that
-    /// straddle tile boundaries accumulate across tiles, exactly like the
-    /// paper's tiled loop.
+    /// The lane decoder, compressed blocks and raw-store bytes of `stream`.
+    pub(crate) fn stream_parts(
+        &self,
+        stream: StreamKind,
+    ) -> (&DshDecoder, &BlockStream, Option<&[u8]>) {
+        let raw = self.raw_store.as_ref();
+        match stream {
+            StreamKind::Index => (
+                &self.index_decoder,
+                &self.compressed.index_stream,
+                raw.map(|s| s.index_bytes.as_slice()),
+            ),
+            StreamKind::Value => (
+                &self.value_decoder,
+                &self.compressed.value_stream,
+                raw.map(|s| s.value_bytes.as_slice()),
+            ),
+        }
+    }
+
+    /// Index plus value blocks: the job count of a full decode.
+    fn total_blocks(&self) -> usize {
+        self.compressed.index_stream.blocks.len() + self.compressed.value_stream.blocks.len()
+    }
+
+    /// The fault ladder both executors run for block `pos` of `stream`
+    /// (batch job number `job`) once its first decode has failed: up to
+    /// [`MAX_BLOCK_RETRIES`] hook-free retries on `lane`, then the block's
+    /// range of the [`RawFallbackStore`], then [`ExecError::Unrecoverable`].
     ///
-    /// # Errors
-    /// [`ExecError::Udp`] on lane traps or CRC failures (with block
-    /// context), [`ExecError::Reassembly`] on stream misalignment.
-    ///
-    /// # Panics
-    /// If `x.len() != ncols`.
-    pub fn spmv_streaming(&self, x: &[f64]) -> ExecResult<(Vec<f64>, StreamingStats)> {
-        assert_eq!(x.len(), self.compressed.ncols, "x length must equal ncols");
-        check_stream_structure(&self.compressed.index_stream)?;
-        check_stream_structure(&self.compressed.value_stream)?;
-        let mut lane = recode_udp::pool::global().checkout();
-        let mut y = vec![0.0f64; self.compressed.nrows];
-        let row_ptr = &self.compressed.row_ptr;
-
-        let mut stats = StreamingStats {
-            compressed_bytes: self.compressed.wire_bytes(),
-            bytes_per_nnz: self.compressed.bytes_per_nnz(),
-            ..StreamingStats::default()
-        };
-        let mut row = 0usize; // current output row
-        let mut k_global = 0usize; // nnz cursor
-                                   // Value bytes decoded but not yet consumed (at most ~2 blocks).
-        let mut val_buf: Vec<u8> = Vec::new();
-        let mut val_blocks = self.compressed.value_stream.blocks.iter();
-
-        for idx_block in &self.compressed.index_stream.blocks {
-            let idx_out = self.index_decoder.decode_block(&mut lane, idx_block)?;
-            stats.lane_cycles += idx_out.cycles;
-            stats.blocks += 1;
-            let tile_nnz = idx_out.output.len() / 4;
-            // Pull value blocks until the tile's values are resident.
-            while val_buf.len() < tile_nnz * 8 {
-                let vb = val_blocks
-                    .next()
-                    .ok_or_else(|| ExecError::Reassembly("value stream ended early".into()))?;
-                let v = self.value_decoder.decode_block(&mut lane, vb)?;
-                stats.lane_cycles += v.cycles;
-                stats.blocks += 1;
-                val_buf.extend_from_slice(&v.output);
-            }
-            stats.peak_resident_bytes =
-                stats.peak_resident_bytes.max(idx_out.output.len() + val_buf.len());
-
-            // Multiply this tile, walking rows as the nnz cursor advances
-            // (k_global < nnz = row_ptr[nrows], so a row with
-            // row_ptr[row + 1] > k_global always exists; empty rows are
-            // skipped by the same walk).
-            for t in 0..tile_nnz {
-                while row_ptr[row + 1] <= k_global {
-                    row += 1;
+    /// Transient faults (injected traps, late DMA) clear on a retry; CRC
+    /// failures repeat deterministically and fall through to the raw
+    /// store. Every attempt is first admitted by the budget `tracker`, the
+    /// job's preemption point, and a successful one is charged to it. An
+    /// exhausted budget is [`ExecError::DeadlineExceeded`] with
+    /// `completed_blocks` left at 0 for the caller to fill in
+    /// ([`with_completed_blocks`]). Retry and fallback events go to the
+    /// flight recorder on `track`.
+    pub(crate) fn recover_block(
+        &self,
+        stream: StreamKind,
+        pos: usize,
+        job: usize,
+        lane: &mut Lane,
+        track: recorder::Track,
+        mut tracker: Option<&mut BudgetTracker>,
+    ) -> ExecResult<Recovered<'_>> {
+        let (decoder, encoded, raw) = self.stream_parts(stream);
+        let block = &encoded.blocks[pos];
+        let mut last_err = None;
+        for attempt in 1..=MAX_BLOCK_RETRIES {
+            if let Some(t) = tracker.as_deref_mut() {
+                if let Err(what) = t.admit_retry() {
+                    return Err(ExecError::DeadlineExceeded {
+                        budget: what.to_string(),
+                        completed_blocks: 0,
+                        total_blocks: self.total_blocks(),
+                    });
                 }
-                let c = u32::from_le_bytes(
-                    idx_out.output[t * 4..t * 4 + 4].try_into().expect("4-byte index"),
-                ) as usize;
-                let v =
-                    f64::from_le_bytes(val_buf[t * 8..t * 8 + 8].try_into().expect("8-byte value"));
-                y[row] += v * x[c];
-                k_global += 1;
             }
-            val_buf.drain(..tile_nnz * 8);
+            recorder::record(
+                recorder::EventKind::Retry,
+                track,
+                "exec.retry",
+                attempt as u64,
+                job as u64,
+            );
+            match decoder.decode_block(lane, block) {
+                Ok(outcome) => {
+                    if let Some(t) = tracker {
+                        t.charge_retry_cycles(outcome.cycles);
+                    }
+                    return Ok(Recovered::Retried { attempts: attempt, outcome });
+                }
+                Err(e) => last_err = Some(e),
+            }
         }
-        if k_global != self.compressed.nnz {
-            return Err(ExecError::Reassembly(format!(
-                "streamed {} non-zeros but the matrix has {}",
-                k_global, self.compressed.nnz
-            )));
-        }
-        Ok((y, stats))
+        let Some(raw) =
+            raw.and_then(|b| RawFallbackStore::block_range(b, pos, encoded.block_bytes))
+        else {
+            let source = last_err.expect("MAX_BLOCK_RETRIES > 0, so a retry failed");
+            return Err(ExecError::Unrecoverable {
+                block: source.block().or(Some(pos)),
+                lane: None,
+                source,
+            });
+        };
+        recorder::record(
+            recorder::EventKind::Fallback,
+            track,
+            "exec.fallback",
+            raw.len() as u64,
+            job as u64,
+        );
+        Ok(Recovered::FellBack(raw))
     }
 }
 
-/// Statistics from a streaming tiled execution.
-#[derive(Debug, Clone, Default)]
-pub struct StreamingStats {
-    /// Total UDP lane cycles across all decoded blocks.
-    pub lane_cycles: u64,
-    /// Blocks decoded (index + value).
-    pub blocks: usize,
-    /// Peak decoded bytes resident at once — the tiled loop's working set.
-    pub peak_resident_bytes: usize,
-    /// Compressed wire bytes streamed (both streams plus tables).
-    pub compressed_bytes: usize,
-    /// `compressed_bytes / nnz`, via the shared
-    /// [`recode_codec::metrics::bytes_per_nnz`] definition.
-    pub bytes_per_nnz: f64,
+/// How [`RecodedSpmv::recover_block`] served a block whose first decode
+/// failed.
+pub(crate) enum Recovered<'s> {
+    /// Retry number `attempts` decoded the block.
+    Retried { attempts: usize, outcome: JobOutcome },
+    /// Every retry failed; these are the block's raw bytes from the store.
+    FellBack(&'s [u8]),
+}
+
+impl Recovered<'_> {
+    /// Retry attempts made, each admitted by the budget.
+    pub(crate) fn attempts(&self) -> usize {
+        match self {
+            Recovered::Retried { attempts, .. } => *attempts,
+            Recovered::FellBack(_) => MAX_BLOCK_RETRIES,
+        }
+    }
+}
+
+/// Fills in how many blocks a run had finished when its budget ran out;
+/// other errors pass through unchanged.
+pub(crate) fn with_completed_blocks(e: ExecError, completed: usize) -> ExecError {
+    match e {
+        ExecError::DeadlineExceeded { budget, total_blocks, .. } => {
+            ExecError::DeadlineExceeded { budget, completed_blocks: completed, total_blocks }
+        }
+        other => other,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use recode_sparse::prelude::*;
+
+    fn faulty(hook: &FaultHook) -> RunOptions<'_> {
+        RunOptions { faults: Some(hook), ..RunOptions::default() }
+    }
+
+    fn budgeted<'a>(faults: Option<&'a FaultHook>, budget: &'a JobBudget) -> RunOptions<'a> {
+        RunOptions { faults, budget: Some(budget), trace: None }
+    }
 
     fn test_matrix() -> Csr {
         generate(
@@ -1120,7 +1044,7 @@ mod tests {
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0).trap(1);
-        let (b, stats) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
+        let (b, stats) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
         assert_eq!(b, a, "retried decode must stay bit-exact");
         assert!(stats.degraded);
         assert!(stats.blocks_retried >= 2, "retried {}", stats.blocks_retried);
@@ -1168,50 +1092,10 @@ mod tests {
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().stall(0, 100_000);
-        let (b, stats) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
+        let (b, stats) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
         assert_eq!(b, a);
         assert_eq!(stats.accel.injected_stall_cycles, 100_000);
         assert!(!stats.degraded, "a stall slows the batch but decodes cleanly");
-    }
-
-    #[test]
-    fn streaming_spmv_matches_full_decode_and_bounds_memory() {
-        let a = test_matrix();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let (y, stats) = r.spmv_streaming(&x).unwrap();
-        assert_eq!(y, recode_sparse::spmv::spmv(&a, &x), "tiled result must match");
-        // Working set stays a few blocks, far below the 12 B/nnz matrix.
-        assert!(stats.peak_resident_bytes < 64 * 1024, "{}", stats.peak_resident_bytes);
-        assert!(stats.peak_resident_bytes < a.nnz() * 12 / 4);
-        assert!(stats.blocks >= r.compressed().index_stream.len());
-        assert!(stats.lane_cycles > 0);
-    }
-
-    #[test]
-    fn streaming_spmv_surfaces_corruption_as_typed_error() {
-        let a = test_matrix();
-        let mut r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        r.compressed_mut().index_stream.blocks[2].payload[3] ^= 0x08;
-        let x = vec![1.0; a.ncols()];
-        let err = r.spmv_streaming(&x).unwrap_err();
-        assert_eq!(err.block(), Some(2), "{err}");
-        assert!(err.codec_error().is_some(), "{err}");
-    }
-
-    #[test]
-    fn streaming_spmv_handles_empty_rows_and_empty_matrix() {
-        let a = Csr::try_from_parts(4, 4, vec![0, 0, 2, 2, 3], vec![1, 3, 0], vec![2.0, 4.0, 8.0])
-            .unwrap();
-        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
-        let x = [1.0, 10.0, 100.0, 1000.0];
-        let (y, _) = r.spmv_streaming(&x).unwrap();
-        assert_eq!(y, recode_sparse::spmv::spmv(&a, &x));
-        let empty = Csr::try_from_parts(2, 2, vec![0, 0, 0], vec![], vec![]).unwrap();
-        let r = RecodedSpmv::new(&empty, MatrixCodecConfig::udp_dsh()).unwrap();
-        let (y, stats) = r.spmv_streaming(&[1.0, 1.0]).unwrap();
-        assert_eq!(y, vec![0.0, 0.0]);
-        assert_eq!(stats.blocks, 0);
     }
 
     #[test]
@@ -1222,7 +1106,7 @@ mod tests {
         let (_, clean) = r.decompress_via_udp(&sys).unwrap();
         assert_eq!(clean.retry_cycles, 0);
         let hook = FaultHook::new().trap(0).trap(1);
-        let (_, faulty) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
+        let (_, faulty) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
         assert!(faulty.retry_cycles > 0);
         // The trapped jobs cost nothing in the batch but their full decode
         // cycles on retry, so total busy work matches the clean run and the
@@ -1284,7 +1168,12 @@ mod tests {
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0);
         let mut tel = Telemetry::new();
-        let (b, stats) = r.decompress_via_udp_traced(&sys, Some(&hook), Some(&mut tel)).unwrap();
+        let (b, stats) = r
+            .decompress_via_udp_with(
+                &sys,
+                RunOptions { faults: Some(&hook), trace: Some(&mut tel), ..RunOptions::default() },
+            )
+            .unwrap();
         assert_eq!(b, a);
         let evs = tel.block_events();
         assert_eq!(evs.len(), stats.accel.jobs);
@@ -1316,10 +1205,10 @@ mod tests {
     }
 
     /// Drift lock: every executor path must derive bytes-per-nnz and lane
-    /// utilization through the one shared helper each, so the streaming,
-    /// batch, and pipelined stats can never silently diverge.
+    /// utilization through the one shared helper each, so the batch and
+    /// pipelined stats can never silently diverge.
     #[test]
-    fn streaming_batch_and_overlap_stats_share_one_metric_definition() {
+    fn batch_and_overlap_stats_share_one_metric_definition() {
         use crate::overlap::{OverlapConfig, OverlapExecutor};
         use recode_codec::metrics::bytes_per_nnz;
         use recode_udp::accel::lane_utilization;
@@ -1330,21 +1219,11 @@ mod tests {
         let cm = r.compressed();
         let x = vec![1.0; a.ncols()];
 
-        // Streaming path: stats carry wire bytes and B/nnz directly.
-        let (_, streaming) = r.spmv_streaming(&x).unwrap();
-        assert_eq!(streaming.compressed_bytes, cm.wire_bytes());
-        assert_eq!(streaming.bytes_per_nnz, cm.bytes_per_nnz());
-        assert_eq!(
-            streaming.bytes_per_nnz,
-            bytes_per_nnz(streaming.compressed_bytes, a.nnz()),
-            "StreamingStats must use the shared bytes_per_nnz helper"
-        );
-
         // Batch path: ExecStats::bytes_per_nnz is the same helper, and the
         // report's utilization is the shared lane_utilization definition.
         let (_, batch) = r.spmv(&sys, SpmvKernel::Serial, &x).unwrap();
         assert_eq!(batch.compressed_bytes, cm.wire_bytes());
-        assert_eq!(batch.bytes_per_nnz(a.nnz()), streaming.bytes_per_nnz);
+        assert_eq!(batch.bytes_per_nnz(a.nnz()), cm.bytes_per_nnz());
         assert_eq!(
             batch.accel.lane_utilization,
             lane_utilization(
@@ -1372,15 +1251,13 @@ mod tests {
 
     #[test]
     fn zero_deadline_with_faults_is_deadline_exceeded() {
-        use crate::resilience::JobBudget;
         use std::time::Duration;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0);
         let budget = JobBudget::with_deadline(Duration::ZERO);
-        let err =
-            r.decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&budget)).unwrap_err();
+        let err = r.decompress_via_udp_with(&sys, budgeted(Some(&hook), &budget)).unwrap_err();
         match &err {
             ExecError::DeadlineExceeded { budget, completed_blocks, total_blocks } => {
                 assert_eq!(budget, "wall deadline");
@@ -1393,37 +1270,34 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_names_the_budget() {
-        use crate::resilience::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         // Two transient traps against a budget that admits only one retry.
         let hook = FaultHook::new().trap(0).trap(1);
         let budget = JobBudget { max_total_retries: Some(1), ..JobBudget::default() };
-        let err =
-            r.decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&budget)).unwrap_err();
+        let err = r.decompress_via_udp_with(&sys, budgeted(Some(&hook), &budget)).unwrap_err();
         match &err {
             ExecError::DeadlineExceeded { budget, .. } => assert_eq!(budget, "retry budget"),
             other => panic!("expected DeadlineExceeded, got {other}"),
         }
         // The same faults under an unbounded budget recover fine.
         let (b, _) = r
-            .decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&JobBudget::unbounded()))
+            .decompress_via_udp_with(&sys, budgeted(Some(&hook), &JobBudget::unbounded()))
             .unwrap();
         assert_eq!(b, a);
     }
 
     #[test]
     fn unbounded_budget_is_cycle_identical_to_the_unbudgeted_path() {
-        use crate::resilience::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0).trap(1);
-        let (b1, plain) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
+        let (b1, plain) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
         let budget = JobBudget::unbounded();
         let (b2, budgeted) =
-            r.decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&budget)).unwrap();
+            r.decompress_via_udp_with(&sys, budgeted(Some(&hook), &budget)).unwrap();
         assert_eq!(b1, b2);
         assert_eq!(budgeted.accel.makespan_cycles, plain.accel.makespan_cycles);
         assert_eq!(budgeted.accel.busy_cycles, plain.accel.busy_cycles);
@@ -1434,15 +1308,13 @@ mod tests {
 
     #[test]
     fn backoff_stretches_makespan_but_never_busy_cycles() {
-        use crate::resilience::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0).trap(1);
-        let (_, plain) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
+        let (_, plain) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
         let budget = JobBudget { backoff_cycles_per_retry: 1_000, ..JobBudget::default() };
-        let (_, backed) =
-            r.decompress_via_udp_budgeted(&sys, Some(&hook), None, Some(&budget)).unwrap();
+        let (_, backed) = r.decompress_via_udp_with(&sys, budgeted(Some(&hook), &budget)).unwrap();
         // Two admitted retries -> 2000 backoff cycles, critical path only.
         assert_eq!(backed.backoff_cycles, 2_000);
         assert_eq!(
@@ -1455,7 +1327,6 @@ mod tests {
 
     #[test]
     fn block_accounting_identity_holds_on_every_terminal_path() {
-        use crate::resilience::JobBudget;
         let a = test_matrix();
         let sys = SystemConfig::ddr4();
         let check = |stats: &ExecStats, what: &str| {
@@ -1470,28 +1341,27 @@ mod tests {
         check(&clean, "clean run");
         assert_eq!(clean.blocks_ok, clean.accel.jobs);
         let hook = FaultHook::new().trap(0).trap(1);
-        let (_, retried) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
+        let (_, retried) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
         check(&retried, "retried run");
         assert_eq!(retried.blocks_recovered, 2);
         let mut r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         r.compressed_mut().index_stream.blocks[0].payload[0] ^= 0x40;
         let budget = JobBudget::unbounded();
-        let (_, fell_back) =
-            r.decompress_via_udp_budgeted(&sys, None, None, Some(&budget)).unwrap();
+        let (_, fell_back) = r.decompress_via_udp_with(&sys, budgeted(None, &budget)).unwrap();
         check(&fell_back, "fallback run");
         assert_eq!(fell_back.blocks_fell_back, 1);
     }
 
     #[test]
     fn run_job_walks_the_breaker_ladder_bit_exact() {
-        use crate::resilience::{BreakerConfig, BreakerState, CircuitBreaker, JobBudget, JobState};
+        use crate::resilience::BreakerConfig;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let budget = JobBudget::unbounded();
 
         // No breaker, clean run: Completed on the accelerator.
-        let report = r.run_job(&sys, None, &budget, None, None);
+        let report = r.run_job(&sys, budgeted(None, &budget), None);
         assert_eq!(report.state, JobState::Completed);
         assert!(!report.software_path);
         assert_eq!(report.matrix.as_ref(), Some(&a));
@@ -1506,7 +1376,7 @@ mod tests {
         let mut b = CircuitBreaker::new(config);
         b.record(10, 10);
         assert_eq!(b.state(), BreakerState::Open);
-        let report = r.run_job(&sys, None, &budget, Some(&mut b), None);
+        let report = r.run_job(&sys, budgeted(None, &budget), Some(&mut b));
         assert_eq!(report.state, JobState::Degraded);
         assert!(report.software_path, "open breaker must bypass the accelerator");
         assert_eq!(report.matrix.as_ref(), Some(&a), "software bypass stays bit-exact");
@@ -1515,7 +1385,7 @@ mod tests {
         assert_eq!(stats.accel.jobs, 0, "no accelerator work on the bypass");
 
         // The next run is the half-open probe; it succeeds and re-closes.
-        let report = r.run_job(&sys, None, &budget, Some(&mut b), None);
+        let report = r.run_job(&sys, budgeted(None, &budget), Some(&mut b));
         assert_eq!(report.state, JobState::Completed);
         assert!(!report.software_path, "probe runs on the accelerator");
         assert_eq!(report.breaker, BreakerState::Closed, "clean probe closes the breaker");
@@ -1523,7 +1393,7 @@ mod tests {
 
     #[test]
     fn run_job_records_a_dead_run_and_trips_the_breaker() {
-        use crate::resilience::{BreakerConfig, BreakerState, CircuitBreaker, JobBudget, JobState};
+        use crate::resilience::BreakerConfig;
         let a = test_matrix();
         let cm = CompressedMatrix::compress(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let mut r = RecodedSpmv::from_compressed(cm).unwrap();
@@ -1537,7 +1407,7 @@ mod tests {
             cooldown_runs: 2,
         };
         let mut b = CircuitBreaker::new(config);
-        let report = r.run_job(&sys, None, &JobBudget::unbounded(), Some(&mut b), None);
+        let report = r.run_job(&sys, budgeted(None, &JobBudget::unbounded()), Some(&mut b));
         assert_eq!(report.state, JobState::Rejected);
         assert!(report.error.is_some());
         assert!(report.matrix.is_none());
@@ -1547,14 +1417,13 @@ mod tests {
 
     #[test]
     fn run_job_surfaces_budget_exhaustion_as_deadline_exceeded() {
-        use crate::resilience::{JobBudget, JobState};
         use std::time::Duration;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0);
         let budget = JobBudget::with_deadline(Duration::ZERO);
-        let report = r.run_job(&sys, Some(&hook), &budget, None, None);
+        let report = r.run_job(&sys, budgeted(Some(&hook), &budget), None);
         assert_eq!(report.state, JobState::DeadlineExceeded);
         assert!(matches!(report.error, Some(ExecError::DeadlineExceeded { .. })));
     }

@@ -67,7 +67,7 @@ pub use benchcmp::{compare_snapshots, CompareReport, MetricDelta, Verdict};
 pub use chaos::{run_campaign, CampaignSummary, ChaosConfig, TrialOutcome};
 pub use chrometrace::export_chrome_trace;
 pub use error::{ExecError, ExecResult};
-pub use exec::{ExecStats, RawFallbackStore, RecodedSpmv};
+pub use exec::{ExecStats, RawFallbackStore, RecodedSpmv, RunOptions};
 pub use metrics::MetricsSnapshot;
 pub use overlap::{
     parse_recode_threads, CacheStats, ExecCache, OverlapConfig, OverlapExecutor, OverlapStats,

@@ -1,12 +1,13 @@
 //! **Overlapped decode/multiply execution with decoded-block caching** —
 //! the paper's Fig. 7 pipeline taken one step further.
 //!
-//! The streaming executor in [`crate::exec`] decodes a tile, multiplies it,
-//! then decodes the next: decode and multiply cycles *add*. On the real
-//! machine the UDP lanes and the CPU cores are independent engines, so a
-//! double-buffered schedule lets the lanes decode tile *i + 1* while the
-//! CPU multiplies tile *i*; per stage the modeled cost is
-//! `max(decode, multiply)` instead of their sum:
+//! A serial tiled loop decodes a tile, multiplies it, then decodes the
+//! next: decode and multiply cycles *add* (this executor with
+//! [`OverlapConfig::overlap`] off). On the real machine the UDP lanes and
+//! the CPU cores are independent engines, so a double-buffered schedule
+//! lets the lanes decode tile *i + 1* while the CPU multiplies tile *i*;
+//! per stage the modeled cost is `max(decode, multiply)` instead of their
+//! sum:
 //!
 //! ```text
 //! lane:  [d0][d1   ][d2][d3   ]
@@ -29,31 +30,27 @@
 //!
 //! An [`ExecCache`] (seeded-capacity LRU over decoded blocks) sits in front
 //! of the lanes: iterative callers — [`OverlapExecutor::spmv_iter`],
-//! [`OverlapExecutor::conjugate_gradient`],
-//! [`OverlapExecutor::power_iteration`] — pay decode cost once and hit the
-//! cache on every later iteration, with hits/misses/evictions folded into
+//! [`OverlapExecutor::conjugate_gradient`] — pay decode cost once and hit
+//! the cache on every later iteration, with hits/misses/evictions folded into
 //! [`ExecStats`] and the telemetry trace.
 //!
 //! The schedule composes with the fault layer of [`crate::exec`]: a block
-//! that traps is retried on a fresh lane up to
-//! [`crate::exec::MAX_BLOCK_RETRIES`] times and then served from the
-//! [`crate::exec::RawFallbackStore`], *inside* its pipeline slot, so a
-//! retried or fallback block can never land in the wrong output position.
+//! that traps goes down the same fault ladder as on the batch path
+//! (retries on a fresh lane, then the [`crate::exec::RawFallbackStore`]),
+//! *inside* its pipeline slot, so a retried or fallback block can never
+//! land in the wrong output position.
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::{
-    check_stream_structure, ExecStats, RawFallbackStore, RecodedSpmv, MAX_BLOCK_RETRIES,
+    check_stream_structure, with_completed_blocks, ExecStats, RecodedSpmv, Recovered, RunOptions,
 };
 use crate::recorder;
 use crate::resilience::{BudgetTracker, JobBudget};
-use crate::telemetry::{
-    BlockEvent, BlockOutcome, MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument,
-};
+use crate::telemetry::{BlockEvent, BlockOutcome, StreamKind, Telemetry, TraceDocument};
 use recode_mem::traffic::TrafficSource;
 use recode_sparse::solve::{self, SolveResult};
-use recode_udp::accel::{panic_payload_message, AccelReport, FaultHook, JobOutcome};
-use recode_udp::{LaneError, UdpError};
+use recode_udp::accel::{panic_payload_message, AccelReport, FaultHook};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -184,8 +181,7 @@ impl ExecCache {
 #[derive(Debug, Clone, Copy)]
 pub struct OverlapConfig {
     /// Model the pipelined schedule (`max(decode, multiply)` per stage).
-    /// When false the same tiled execution runs but stage costs add, as in
-    /// [`RecodedSpmv::spmv_streaming`].
+    /// When false the same tiled execution runs but stage costs add.
     pub overlap: bool,
     /// Decoded-block LRU capacity in blocks; 0 disables caching.
     pub cache_blocks: usize,
@@ -283,7 +279,6 @@ struct DecodedBlock {
     stall_cycles: u64,
     retries: usize,
     retry_cycles: u64,
-    fell_back: bool,
     fallback_bytes: usize,
     /// Compressed payload bytes fetched (0 on a cache hit).
     wire_bytes: usize,
@@ -408,42 +403,7 @@ impl<'m> OverlapExecutor<'m> {
     /// # Panics
     /// If `x.len() != ncols`.
     pub fn spmv(&self, sys: &SystemConfig, x: &[f64]) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.spmv_faulty(sys, x, None)
-    }
-
-    /// [`OverlapExecutor::spmv`] with an optional fault-injection hook.
-    /// Job numbering matches the batch path (index blocks first, then value
-    /// blocks), so the same hook means the same faults on either executor.
-    ///
-    /// # Errors
-    /// As [`OverlapExecutor::spmv`].
-    pub fn spmv_faulty(
-        &self,
-        sys: &SystemConfig,
-        x: &[f64],
-        hook: Option<&FaultHook>,
-    ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.run(sys, x, hook, None, None)
-    }
-
-    /// [`OverlapExecutor::spmv_faulty`] governed by a [`JobBudget`]: the
-    /// producer consults the budget at every retry boundary (the pipeline's
-    /// preemption points), so an exhausted budget surfaces as
-    /// [`ExecError::DeadlineExceeded`] instead of grinding through the
-    /// remaining tiles. Backoff accumulates into
-    /// [`ExecStats::backoff_cycles`] as a reported quantity; the modeled
-    /// pipelined makespan keeps its `max(decode, multiply)` definition.
-    ///
-    /// # Errors
-    /// As [`OverlapExecutor::spmv`], plus [`ExecError::DeadlineExceeded`].
-    pub fn spmv_budgeted(
-        &self,
-        sys: &SystemConfig,
-        x: &[f64],
-        hook: Option<&FaultHook>,
-        budget: &JobBudget,
-    ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        self.run(sys, x, hook, None, Some(budget))
+        self.spmv_with(sys, x, RunOptions::default())
     }
 
     /// Fully traced pipelined SpMV: the run's spans (`exec.overlap`,
@@ -457,36 +417,14 @@ impl<'m> OverlapExecutor<'m> {
         &self,
         sys: &SystemConfig,
         x: &[f64],
-        hook: Option<&FaultHook>,
+        faults: Option<&FaultHook>,
         name: &str,
     ) -> ExecResult<(Vec<f64>, ExecStats, TraceDocument)> {
         let t_total = Instant::now();
         let mut tel = Telemetry::new();
-        let (y, stats) = self.run(sys, x, hook, Some(&mut tel), None)?;
-
-        let cm = self.recoded.compressed();
-        let vector_read = (cm.ncols * 8) as u64;
-        let vector_write = (cm.nrows * 8) as u64;
-        tel.traffic.read(TrafficSource::Vectors, vector_read);
-        tel.traffic.write(TrafficSource::Vectors, vector_write);
-
-        let matrix = MatrixMeta {
-            name: name.to_string(),
-            nrows: cm.nrows,
-            ncols: cm.ncols,
-            nnz: cm.nnz,
-            compressed_bytes: stats.compressed_bytes,
-            bytes_per_nnz: cm.bytes_per_nnz(),
-        };
-        let system = SystemMeta {
-            memory: sys.mem.name.to_string(),
-            lanes: sys.udp.lanes,
-            freq_hz: sys.udp.freq_hz,
-        };
-        let codec_stages = self.recoded.stage_telemetry().map(|t| t.snapshot()).unwrap_or_default();
-        let wall_ns_total = t_total.elapsed().as_nanos() as u64;
-        let doc =
-            tel.into_document(matrix, system, stats.clone(), codec_stages, &sys.mem, wall_ns_total);
+        let opts = RunOptions { faults, trace: Some(&mut tel), ..RunOptions::default() };
+        let (y, stats) = self.spmv_with(sys, x, opts)?;
+        let doc = self.recoded.seal_trace(tel, sys, &stats, name, t_total);
         Ok((y, stats, doc))
     }
 
@@ -542,32 +480,6 @@ impl<'m> OverlapExecutor<'m> {
         Ok((result, per_apply))
     }
 
-    /// Power iteration through the pipelined, cached executor. Returns the
-    /// solve outcome, the eigenvalue estimate, and the per-apply stats.
-    ///
-    /// # Errors
-    /// As [`OverlapExecutor::spmv`].
-    ///
-    /// # Panics
-    /// If the matrix is not square or is empty.
-    pub fn power_iteration(
-        &self,
-        sys: &SystemConfig,
-        tol: f64,
-        max_iters: usize,
-    ) -> ExecResult<(SolveResult, f64, Vec<ExecStats>)> {
-        let cm = self.recoded.compressed();
-        assert_eq!(cm.nrows, cm.ncols, "power iteration needs a square matrix");
-        let mut per_apply = Vec::new();
-        let (result, eigenvalue) = solve::power_iteration_op(cm.nrows, tol, max_iters, |x, y| {
-            let (out, stats) = self.spmv(sys, x)?;
-            y.copy_from_slice(&out);
-            per_apply.push(stats);
-            Ok::<(), ExecError>(())
-        })?;
-        Ok((result, eigenvalue, per_apply))
-    }
-
     /// Decodes one block through the same cache-then-retry-ladder path a
     /// pipelined run uses, returning the decoded length. Hidden: it exists
     /// so the allocation-regression suite can measure warm-cache hits
@@ -579,33 +491,18 @@ impl<'m> OverlapExecutor<'m> {
     }
 
     /// Decodes one block, consulting the cache first and falling through
-    /// the retry/fallback ladder of the batch path on failure. `job` uses
-    /// batch numbering (index blocks `0..n_index`, value blocks after).
-    /// When a budget `tracker` is supplied it is consulted before every
-    /// retry attempt and charged for successful ones.
+    /// the shared fault ladder ([`RecodedSpmv::recover_block`]) on failure.
+    /// `job` uses batch numbering (index blocks `0..n_index`, value blocks
+    /// after). When a budget `tracker` is supplied it is consulted before
+    /// every retry attempt and charged for successful ones.
     fn decode_one(
         &self,
         stream: StreamKind,
         pos: usize,
         job: usize,
         hook: &FaultHook,
-        mut tracker: Option<&mut BudgetTracker>,
+        tracker: Option<&mut BudgetTracker>,
     ) -> ExecResult<DecodedBlock> {
-        let cm = self.recoded.compressed();
-        let (decoder, blk, block_bytes, raw_bytes) = match stream {
-            StreamKind::Index => (
-                self.recoded.index_decoder(),
-                &cm.index_stream.blocks[pos],
-                cm.index_stream.block_bytes,
-                self.recoded.raw_store().map(|s| s.index_bytes.as_slice()),
-            ),
-            StreamKind::Value => (
-                self.recoded.value_decoder(),
-                &cm.value_stream.blocks[pos],
-                cm.value_stream.block_bytes,
-                self.recoded.raw_store().map(|s| s.value_bytes.as_slice()),
-            ),
-        };
         if self.config.cache_blocks > 0 {
             if let Some(bytes) = self.cache.lock().expect("cache poisoned").get((stream, pos)) {
                 return Ok(DecodedBlock {
@@ -614,7 +511,6 @@ impl<'m> OverlapExecutor<'m> {
                     stall_cycles: 0,
                     retries: 0,
                     retry_cycles: 0,
-                    fell_back: false,
                     fallback_bytes: 0,
                     wire_bytes: 0,
                     cache_hit: true,
@@ -623,99 +519,47 @@ impl<'m> OverlapExecutor<'m> {
             }
         }
 
+        let (decoder, encoded, _) = self.recoded.stream_parts(stream);
+        let blk = &encoded.blocks[pos];
         let stall_cycles = hook.stall_cycles.get(&job).copied().unwrap_or(0);
         let wire_bytes = blk.payload.len();
         // Decode work happens on the producer (stage 0) track; cache hits
         // returned above never open this span.
         let _decode_span = recorder::span(recorder::Track::stage(0), "decode");
         let mut lane = recode_udp::pool::global().checkout();
-        let first: Result<JobOutcome, UdpError> = if hook.trap_jobs.contains(&job) {
-            Err(UdpError::from(LaneError::InjectedFault))
+        let first = if hook.trap_jobs.contains(&job) {
+            None
         } else {
-            decoder.decode_block(&mut lane, blk)
+            decoder.decode_block(&mut lane, blk).ok()
         };
 
-        let mut cycles = 0u64;
-        let mut retries = 0usize;
-        let mut retry_cycles = 0u64;
-        let mut fell_back = false;
-        let mut fallback_bytes = 0usize;
-        let mut outcome = BlockOutcome::Ok;
-        let decoded: Vec<u8> = match first {
-            Ok(o) => {
-                cycles = o.cycles;
-                o.output
-            }
-            Err(first_err) => {
-                // Bounded hook-free retry on a fresh lane, then the raw
-                // store — the same ladder as the batch path.
-                let mut recovered: Option<Vec<u8>> = None;
-                let mut last_err = first_err;
-                for _ in 0..MAX_BLOCK_RETRIES {
-                    if let Some(t) = tracker.as_deref_mut() {
-                        if let Err(what) = t.admit_retry() {
-                            // Only the producer knows how many blocks the
-                            // run has finished; it fills that count in.
-                            return Err(ExecError::DeadlineExceeded {
-                                budget: what.to_string(),
-                                completed_blocks: 0,
-                                total_blocks: cm.index_stream.blocks.len()
-                                    + cm.value_stream.blocks.len(),
-                            });
-                        }
-                    }
-                    retries += 1;
-                    recorder::record(
-                        recorder::EventKind::Retry,
-                        recorder::Track::stage(0),
-                        "exec.retry",
-                        retries as u64,
-                        job as u64,
-                    );
-                    match decoder.decode_block(&mut lane, blk) {
-                        Ok(o) => {
-                            retry_cycles = o.cycles;
-                            if let Some(t) = tracker.as_deref_mut() {
-                                t.charge_retry_cycles(o.cycles);
-                            }
-                            outcome = BlockOutcome::Retried;
-                            recovered = Some(o.output);
-                            break;
-                        }
-                        Err(e) => last_err = e,
-                    }
+        let mut retries = 0;
+        let mut retry_cycles = 0;
+        let mut fallback_bytes = 0;
+        let (cycles, outcome, bytes) = if let Some(o) = first {
+            (o.cycles, BlockOutcome::Ok, o.output)
+        } else {
+            let recovered = self.recoded.recover_block(
+                stream,
+                pos,
+                job,
+                &mut lane,
+                recorder::Track::stage(0),
+                tracker,
+            )?;
+            retries = recovered.attempts();
+            match recovered {
+                Recovered::Retried { outcome: o, .. } => {
+                    retry_cycles = o.cycles;
+                    (0, BlockOutcome::Retried, o.output)
                 }
-                if let Some(bytes) = recovered {
-                    bytes
-                } else {
-                    let raw =
-                        raw_bytes.and_then(|b| RawFallbackStore::block_range(b, pos, block_bytes));
-                    match raw {
-                        Some(raw) => {
-                            recorder::record(
-                                recorder::EventKind::Fallback,
-                                recorder::Track::stage(0),
-                                "exec.fallback",
-                                raw.len() as u64,
-                                job as u64,
-                            );
-                            fell_back = true;
-                            fallback_bytes = raw.len();
-                            outcome = BlockOutcome::FellBack;
-                            raw.to_vec()
-                        }
-                        None => {
-                            return Err(ExecError::Unrecoverable {
-                                block: last_err.block().or(Some(pos)),
-                                lane: None,
-                                source: last_err,
-                            });
-                        }
-                    }
+                Recovered::FellBack(raw) => {
+                    fallback_bytes = raw.len();
+                    (0, BlockOutcome::FellBack, raw.to_vec())
                 }
             }
         };
-        let bytes = Arc::new(decoded);
+        let bytes = Arc::new(bytes);
         if self.config.cache_blocks > 0 {
             self.cache.lock().expect("cache poisoned").insert((stream, pos), Arc::clone(&bytes));
         }
@@ -725,7 +569,6 @@ impl<'m> OverlapExecutor<'m> {
             stall_cycles,
             retries,
             retry_cycles,
-            fell_back,
             fallback_bytes,
             wire_bytes,
             cache_hit: false,
@@ -770,13 +613,12 @@ impl<'m> OverlapExecutor<'m> {
             match d.outcome {
                 BlockOutcome::Ok => out.blocks_ok += 1,
                 BlockOutcome::Retried => out.blocks_recovered += 1,
-                BlockOutcome::FellBack => {}
+                BlockOutcome::FellBack => {
+                    out.blocks_fell_back += 1;
+                    out.fallback_bytes += d.fallback_bytes;
+                }
             }
             out.blocks_retried += d.retries;
-            if d.fell_back {
-                out.blocks_fell_back += 1;
-                out.fallback_bytes += d.fallback_bytes;
-            }
             out.retry_cycles += d.retry_cycles;
             out.stall_cycles += d.stall_cycles;
             out.fetched_bytes += d.wire_bytes;
@@ -792,18 +634,11 @@ impl<'m> OverlapExecutor<'m> {
         // A budget that runs out mid-run reports the blocks finished so
         // far (decoded, recovered, served from the raw store or the cache),
         // as the batch path does.
-        let stopped = |out: &ProducerOut, e: ExecError| match e {
-            ExecError::DeadlineExceeded { budget, total_blocks, .. } => {
-                ExecError::DeadlineExceeded {
-                    budget,
-                    completed_blocks: out.blocks_ok
-                        + out.blocks_recovered
-                        + out.blocks_fell_back
-                        + out.cache_hit_blocks,
-                    total_blocks,
-                }
-            }
-            other => other,
+        let stopped = |out: &ProducerOut, e: ExecError| {
+            with_completed_blocks(
+                e,
+                out.blocks_ok + out.blocks_recovered + out.blocks_fell_back + out.cache_hit_blocks,
+            )
         };
 
         for t in 0..n_index {
@@ -831,7 +666,7 @@ impl<'m> OverlapExecutor<'m> {
             out.per_tile_decode.push(tile_cycles);
             out.per_tile_nnz.push(tile_nnz);
             if !emit(TileWork { tile: t, k_start: k_global, idx: Arc::clone(&ib.bytes), vals }) {
-                // Every consumer is gone; `run` substitutes the real panic
+                // Every consumer is gone; `spmv_with` substitutes the real panic
                 // message when one was captured.
                 return Err(ExecError::WorkerPanic {
                     context: "tile channel closed: every multiply worker exited".into(),
@@ -849,9 +684,22 @@ impl<'m> OverlapExecutor<'m> {
         Ok(out)
     }
 
-    /// The engine behind every entry point: decode (producer) and multiply
-    /// (workers) run concurrently over a bounded channel; partial row sums
-    /// merge back in tile order.
+    /// [`OverlapExecutor::spmv`] under `opts` — the engine behind every
+    /// entry point: decode (producer) and multiply (workers) run
+    /// concurrently over a bounded channel; partial row sums merge back in
+    /// tile order.
+    ///
+    /// * `faults` uses batch job numbering (index blocks first, then value
+    ///   blocks), so the same hook means the same faults on either
+    ///   executor; its `panic_tiles` fire inside the multiply workers.
+    /// * `budget` is consulted by the producer at every retry boundary
+    ///   (the pipeline's preemption points), so an exhausted budget
+    ///   surfaces as [`ExecError::DeadlineExceeded`] instead of grinding
+    ///   through the remaining tiles. Backoff accumulates into
+    ///   [`ExecStats::backoff_cycles`] as a reported quantity; the modeled
+    ///   pipelined makespan keeps its `max(decode, multiply)` definition.
+    /// * `trace` receives the spans, counters, block events and traffic
+    ///   that [`OverlapExecutor::spmv_traced`] seals.
     ///
     /// ## Panic containment
     ///
@@ -860,17 +708,23 @@ impl<'m> OverlapExecutor<'m> {
     /// caught at the thread boundary and converted into
     /// [`ExecError::WorkerPanic`]; it can never strand the bounded tile
     /// channel with a blocked sender. Two pieces make that guarantee: the
-    /// producer stops as soon as a send fails, and `run` drops its own
-    /// handle on the tile receiver so dead workers actually close the
+    /// producer stops as soon as a send fails, and this function drops its
+    /// own handle on the tile receiver so dead workers actually close the
     /// channel.
-    fn run(
+    ///
+    /// # Errors
+    /// As [`OverlapExecutor::spmv`], plus [`ExecError::DeadlineExceeded`]
+    /// and [`ExecError::WorkerPanic`].
+    ///
+    /// # Panics
+    /// If `x.len() != ncols`.
+    pub fn spmv_with(
         &self,
         sys: &SystemConfig,
         x: &[f64],
-        hook: Option<&FaultHook>,
-        tel: Option<&mut Telemetry>,
-        budget: Option<&JobBudget>,
+        opts: RunOptions<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
+        let RunOptions { faults: hook, budget, trace: tel } = opts;
         let cm = self.recoded.compressed();
         assert_eq!(x.len(), cm.ncols, "x length must equal ncols");
         check_stream_structure(&cm.index_stream)?;
@@ -1100,6 +954,8 @@ impl<'m> OverlapExecutor<'m> {
                     outcome: r.outcome,
                 });
             }
+            tel.traffic.read(TrafficSource::Vectors, (cm.ncols * 8) as u64);
+            tel.traffic.write(TrafficSource::Vectors, (cm.nrows * 8) as u64);
         }
         Ok((y, stats))
     }
@@ -1151,6 +1007,14 @@ mod tests {
     use recode_codec::pipeline::MatrixCodecConfig;
     use recode_sparse::prelude::*;
     use recode_sparse::spmv::SpmvKernel;
+
+    fn faulty(hook: &FaultHook) -> RunOptions<'_> {
+        RunOptions { faults: Some(hook), ..RunOptions::default() }
+    }
+
+    fn budgeted<'a>(hook: &'a FaultHook, budget: &'a JobBudget) -> RunOptions<'a> {
+        RunOptions { faults: Some(hook), budget: Some(budget), trace: None }
+    }
 
     fn test_matrix() -> Csr {
         generate(
@@ -1273,7 +1137,7 @@ mod tests {
             &r,
             OverlapConfig { overlap: true, cache_blocks: 128, workers: 4 },
         );
-        let (y, stats) = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap();
+        let (y, stats) = ex.spmv_with(&sys, &x, faulty(&hook)).unwrap();
         assert!(max_rel_err(&y, &want) < 1e-10, "recovered blocks must land in place");
         assert!(stats.degraded);
         assert!(stats.blocks_retried > 0);
@@ -1281,7 +1145,7 @@ mod tests {
         assert!(stats.fallback_bytes > 0);
         assert_eq!(stats.accel.injected_stall_cycles, 50_000);
         // Second run: the cache holds recovered bytes, so nothing degrades.
-        let (y2, s2) = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap();
+        let (y2, s2) = ex.spmv_with(&sys, &x, faulty(&hook)).unwrap();
         assert!(max_rel_err(&y2, &want) < 1e-10);
         assert!(!s2.degraded, "cached blocks skip the fault path entirely");
         assert_eq!(s2.overlap.cache_misses, 0);
@@ -1332,7 +1196,7 @@ mod tests {
     }
 
     #[test]
-    fn solvers_run_through_the_cached_executor() {
+    fn conjugate_gradient_runs_through_the_cached_executor() {
         // SPD 1D Laplacian, same as the solver unit tests.
         let n = 200usize;
         let mut coo = Coo::new(n, n).unwrap();
@@ -1362,13 +1226,6 @@ mod tests {
         // Applies after the first decode nothing.
         assert_eq!(per_apply[1].overlap.decode_cycles, 0);
         assert!(per_apply[0].overlap.decode_cycles > 0);
-
-        // Power iteration on the 1D Laplacian converges slowly (tight
-        // spectral gap); just drive a bounded number of cached applies and
-        // check the eigenvalue estimate lands in the spectrum.
-        let (pr, eigenvalue, _) = ex.power_iteration(&sys, 1e-6, 300).unwrap();
-        assert!(pr.iterations > 0);
-        assert!(eigenvalue > 0.0 && eigenvalue <= 4.0 + 1e-9, "eigenvalue {eigenvalue}");
     }
 
     #[test]
@@ -1381,6 +1238,18 @@ mod tests {
         assert_eq!(y, vec![0.0, 0.0]);
         assert_eq!(stats.overlap.stages, 0);
         assert_eq!(stats.accel.makespan_cycles, 0);
+
+        // Empty rows between non-empty ones, on both schedules.
+        let a = Csr::try_from_parts(4, 4, vec![0, 0, 2, 2, 3], vec![1, 3, 0], vec![2.0, 4.0, 8.0])
+            .unwrap();
+        let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
+        let x = [1.0, 10.0, 100.0, 1000.0];
+        for overlap in [true, false] {
+            let ex =
+                OverlapExecutor::new(&r, OverlapConfig { overlap, ..OverlapConfig::default() });
+            let (y, _) = ex.spmv(&sys, &x).unwrap();
+            assert_eq!(y, recode_sparse::spmv::spmv(&a, &x), "overlap={overlap}");
+        }
     }
 
     #[test]
@@ -1435,7 +1304,7 @@ mod tests {
         let hook = FaultHook::new().panic_tile(0);
         let ex =
             OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 3 });
-        let err = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap_err();
+        let err = ex.spmv_with(&sys, &x, faulty(&hook)).unwrap_err();
         match &err {
             ExecError::WorkerPanic { context } => {
                 assert!(context.contains("tile 0"), "{context}");
@@ -1464,13 +1333,12 @@ mod tests {
         }
         let ex =
             OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 });
-        let err = ex.spmv_faulty(&sys, &x, Some(&hook)).unwrap_err();
+        let err = ex.spmv_with(&sys, &x, faulty(&hook)).unwrap_err();
         assert!(matches!(err, ExecError::WorkerPanic { .. }), "{err}");
     }
 
     #[test]
     fn overlap_budget_exhaustion_is_deadline_exceeded() {
-        use crate::resilience::JobBudget;
         use std::time::Duration;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
@@ -1479,14 +1347,14 @@ mod tests {
         let hook = FaultHook::new().trap(0);
         let ex = OverlapExecutor::new(&r, OverlapConfig::default());
         let budget = JobBudget::with_deadline(Duration::ZERO);
-        let err = ex.spmv_budgeted(&sys, &x, Some(&hook), &budget).unwrap_err();
+        let err = ex.spmv_with(&sys, &x, budgeted(&hook, &budget)).unwrap_err();
         match &err {
             ExecError::DeadlineExceeded { budget, .. } => assert_eq!(budget, "wall deadline"),
             other => panic!("expected DeadlineExceeded, got {other}"),
         }
         // Unbounded budget with the same faults recovers bit-exact.
         let want = recode_sparse::spmv::spmv(&a, &x);
-        let (y, stats) = ex.spmv_budgeted(&sys, &x, Some(&hook), &JobBudget::unbounded()).unwrap();
+        let (y, stats) = ex.spmv_with(&sys, &x, budgeted(&hook, &JobBudget::unbounded())).unwrap();
         assert!(max_rel_err(&y, &want) < 1e-10);
         assert!(stats.degraded);
         assert_eq!(
@@ -1500,7 +1368,6 @@ mod tests {
     /// finished, not the batch job index of the block it stopped on.
     #[test]
     fn overlap_deadline_counts_finished_blocks() {
-        use crate::resilience::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -1514,7 +1381,7 @@ mod tests {
         let hook = FaultHook::new().trap(n_index);
         let budget = JobBudget { max_total_retries: Some(0), ..JobBudget::default() };
         let ex = OverlapExecutor::new(&r, OverlapConfig::default());
-        match ex.spmv_budgeted(&sys, &x, Some(&hook), &budget).unwrap_err() {
+        match ex.spmv_with(&sys, &x, budgeted(&hook, &budget)).unwrap_err() {
             ExecError::DeadlineExceeded { budget, completed_blocks, total_blocks } => {
                 assert_eq!(budget, "retry budget");
                 assert_eq!(completed_blocks, 1);
@@ -1526,7 +1393,6 @@ mod tests {
 
     #[test]
     fn overlap_backoff_is_reported_but_never_folded_into_the_makespan() {
-        use crate::resilience::JobBudget;
         let a = test_matrix();
         let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -1535,7 +1401,7 @@ mod tests {
         let ex =
             OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 2 });
         let budget = JobBudget { backoff_cycles_per_retry: 1_000, ..JobBudget::default() };
-        let (_, stats) = ex.spmv_budgeted(&sys, &x, Some(&hook), &budget).unwrap();
+        let (_, stats) = ex.spmv_with(&sys, &x, budgeted(&hook, &budget)).unwrap();
         assert_eq!(stats.backoff_cycles, 1_000, "one retry, one backoff charge");
         // The overlap schedule invariant pins makespan to the overlapped
         // schedule, so backoff stays a reported stat here.

@@ -178,3 +178,39 @@ fn jit_compile_events_reach_the_ring() {
     assert_eq!(jit[0].b, 42, "wall ns rides `b`");
     assert_eq!(jit[1].name, "jit.huffman.failed", "failures are distinguishable");
 }
+
+/// A retry the budget refuses never runs, so it must not reach the ring:
+/// `recode_recorder_events_total{kind="retry"}` counts attempts made, on
+/// the batch and the pipelined executor alike.
+#[test]
+fn refused_retries_record_no_retry_event_on_either_executor() {
+    use recode_codec::pipeline::MatrixCodecConfig;
+    use recode_core::{
+        ExecError, JobBudget, OverlapConfig, OverlapExecutor, RecodedSpmv, RunOptions, SystemConfig,
+    };
+    use recode_sparse::prelude::{generate, GenSpec, ValueModel};
+    use recode_udp::accel::FaultHook;
+
+    let _g = serialized();
+    let spec = GenSpec::Stencil2D { nx: 24, ny: 24, points: 5, values: ValueModel::StencilCoeffs };
+    let a = generate(&spec, 5);
+    let r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).expect("compress");
+    let sys = SystemConfig::ddr4();
+    let hook = FaultHook::new().trap(0);
+    let budget = JobBudget { max_total_retries: Some(0), ..JobBudget::default() };
+    let opts = || RunOptions { faults: Some(&hook), budget: Some(&budget), trace: None };
+    let retries = |events: &[Event]| events.iter().filter(|e| e.kind == EventKind::Retry).count();
+
+    enable(4096);
+    let batch = r.decompress_via_udp_with(&sys, opts());
+    let batch_events = drain();
+    let ex = OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 1 });
+    let overlap = ex.spmv_with(&sys, &vec![1.0; a.ncols()], opts());
+    let overlap_events = drain();
+    disable();
+
+    assert!(matches!(batch, Err(ExecError::DeadlineExceeded { .. })), "{:?}", batch.err());
+    assert!(matches!(overlap, Err(ExecError::DeadlineExceeded { .. })), "{:?}", overlap.err());
+    assert_eq!(retries(&batch_events), 0, "batch recorded a retry the budget refused");
+    assert_eq!(retries(&overlap_events), 0, "overlap recorded a retry the budget refused");
+}

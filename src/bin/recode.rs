@@ -466,8 +466,8 @@ fn cmd_spmv(flags: &Flags) -> Result<ExitCode, String> {
     } else {
         let mut recoded = RecodedSpmv::new(&a, config).map_err(|e| e.to_string())?;
         apply_injection(&mut recoded, flags)?;
-        let (y, stats) =
-            recoded.spmv_faulty(&sys, kernel, &x, hook.as_ref()).map_err(|e| e.to_string())?;
+        let opts = RunOptions { faults: hook.as_ref(), ..RunOptions::default() };
+        let (y, stats) = recoded.spmv_with(&sys, kernel, &x, opts).map_err(|e| e.to_string())?;
         if let Some(ct_path) = &flags.chrome_trace {
             finish_chrome_trace(ct_path)?;
         }
@@ -567,7 +567,8 @@ fn cmd_spmv_overlap(flags: &Flags, a: &Csr) -> Result<ExitCode, String> {
         );
         (y, stats)
     } else {
-        let out = ex.spmv_faulty(&sys, &x, hook.as_ref()).map_err(|e| e.to_string())?;
+        let opts = RunOptions { faults: hook.as_ref(), ..RunOptions::default() };
+        let out = ex.spmv_with(&sys, &x, opts).map_err(|e| e.to_string())?;
         if let Some(ct_path) = &flags.chrome_trace {
             finish_chrome_trace(ct_path)?;
         }

@@ -42,7 +42,8 @@ pub mod prelude {
     pub use recode_core::{
         run_campaign, tune_matrix, BreakerConfig, BreakerState, CampaignSummary, ChaosConfig,
         CircuitBreaker, JobBudget, JobReport, JobState, OverlapConfig, OverlapExecutor,
-        PowerSavings, RecodedSpmv, SystemConfig, TrialOutcome, TuneError, TuneOptions, TunedConfig,
+        PowerSavings, RecodedSpmv, RunOptions, SystemConfig, TrialOutcome, TuneError, TuneOptions,
+        TunedConfig,
     };
     pub use recode_sparse::prelude::*;
     pub use recode_udp::accel::FaultHook;

@@ -41,6 +41,10 @@ fn small_block_config() -> MatrixCodecConfig {
     }
 }
 
+fn faulty(hook: &FaultHook) -> RunOptions<'_> {
+    RunOptions { faults: Some(hook), ..RunOptions::default() }
+}
+
 /// Outcome bookkeeping across the whole campaign.
 #[derive(Default, Debug)]
 struct Tally {
@@ -157,7 +161,7 @@ fn injected_lane_traps_recover_transparently() {
     assert!(n_jobs >= 2, "matrix too small for trap trials");
     for trial in 0..32usize {
         let hook = FaultHook::new().trap(trial % n_jobs).trap((trial * 7 + 1) % n_jobs);
-        let (b, stats) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
+        let (b, stats) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
         assert_eq!(b, a, "trial {trial}: trap recovery must stay bit-exact");
         assert!(stats.degraded, "trial {trial}: traps must mark the run degraded");
         assert!(stats.blocks_retried > 0);
@@ -172,7 +176,7 @@ fn injected_dma_stalls_only_cost_cycles() {
     let sys = SystemConfig::ddr4();
     for trial in 0..8u64 {
         let hook = FaultHook::new().stall(trial as usize, 50_000 * (trial + 1));
-        let (b, stats) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
+        let (b, stats) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
         assert_eq!(b, a);
         assert_eq!(stats.accel.injected_stall_cycles, 50_000 * (trial + 1));
         assert!(!stats.degraded, "stalls are slowdown, not degradation");
@@ -187,7 +191,7 @@ fn retry_cycles_fold_into_makespan_under_traps() {
     let (_, clean) = r.decompress_via_udp(&sys).unwrap();
     assert_eq!(clean.retry_cycles, 0, "clean run has no retry cycles");
     let hook = FaultHook::new().trap(0).trap(1).trap(2);
-    let (b, stats) = r.decompress_via_udp_faulty(&sys, Some(&hook)).unwrap();
+    let (b, stats) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
     assert_eq!(b, a);
     assert!(stats.retry_cycles > 0, "trap retries must report their cycles");
     // Trapped jobs cost nothing in the batch and their full decode cycles
@@ -215,7 +219,8 @@ fn telemetry_events_record_fault_outcomes() {
     let hook = FaultHook::new().trap(n_index);
     let sys = SystemConfig::ddr4();
     let mut tel = Telemetry::new();
-    let (b, stats) = r.decompress_via_udp_traced(&sys, Some(&hook), Some(&mut tel)).unwrap();
+    let opts = RunOptions { faults: Some(&hook), trace: Some(&mut tel), ..RunOptions::default() };
+    let (b, stats) = r.decompress_via_udp_with(&sys, opts).unwrap();
     assert_eq!(b, a);
     let evs = tel.block_events();
     assert_eq!(evs.len(), stats.accel.jobs, "one event per job");
@@ -403,11 +408,41 @@ fn spmv_stays_correct_under_combined_faults() {
     let hook = FaultHook::new().trap(n_index); // first value job
     let sys = SystemConfig::ddr4();
     let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
-    let (y, stats) = r.spmv_faulty(&sys, SpmvKernel::Serial, &x, Some(&hook)).unwrap();
+    let (y, stats) = r.spmv_with(&sys, SpmvKernel::Serial, &x, faulty(&hook)).unwrap();
     assert_eq!(y, recode_spmv::sparse::spmv::spmv(&a, &x));
     assert!(stats.degraded);
     assert!(stats.blocks_retried > 0);
     assert_eq!(stats.blocks_fell_back, 1, "the CRC-broken block needs the raw store");
     assert!(stats.fallback_bytes > 0);
     assert!(stats.mem_stream_seconds > 0.0);
+}
+
+/// Both executors run the one fault ladder, so the same faults must yield
+/// the same recovery accounting on the batch path and through the
+/// pipelined overlap executor.
+#[test]
+fn batch_and_overlap_walk_the_same_fault_ladder() {
+    use recode_spmv::core::{ExecStats, OverlapConfig, OverlapExecutor};
+    let a = test_matrix();
+    let mut r = RecodedSpmv::new(&a, small_block_config()).unwrap();
+    // CRC-corrupt: every retry fails, so this block falls back to the store.
+    r.compressed_mut().index_stream.blocks[1].payload[0] ^= 0x01;
+    let n_index = r.compressed().index_stream.blocks.len();
+    let sys = SystemConfig::ddr4();
+    let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
+    let ex = OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 0, workers: 1 });
+    let ladder = |s: &ExecStats| {
+        (
+            (s.blocks_ok, s.blocks_recovered, s.blocks_retried, s.blocks_fell_back),
+            (s.fallback_bytes, s.retry_cycles),
+            (s.accel.jobs, s.accel.jobs_failed, s.accel.busy_cycles),
+        )
+    };
+    for hook in [FaultHook::new(), FaultHook::new().trap(0), FaultHook::new().trap(n_index).trap(2)]
+    {
+        let (_, batch) = r.spmv_with(&sys, SpmvKernel::Serial, &x, faulty(&hook)).unwrap();
+        let (_, pipelined) = ex.spmv_with(&sys, &x, faulty(&hook)).unwrap();
+        assert_eq!(ladder(&batch), ladder(&pipelined), "hook {hook:?}");
+        assert_eq!(batch.blocks_fell_back, 1, "hook {hook:?}");
+    }
 }
