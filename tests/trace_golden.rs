@@ -22,8 +22,9 @@
 #[path = "common/golden.rs"]
 mod golden;
 
-use golden::{assert_matches_fixture, canonical_doc};
-use recode_spmv::core::telemetry::TraceDocument;
+use golden::{assert_matches_fixture, canonical_doc, golden_matrix, normalize_wall};
+use recode_spmv::core::telemetry::{BlockOutcome, TraceDocument};
+use recode_spmv::prelude::*;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace_v1.json");
 
@@ -108,4 +109,60 @@ fn golden_fixture_parses_validates_and_re_renders_byte_for_byte() {
     assert_eq!(doc.counters, live.counters);
     assert_eq!(doc.block_events, live.block_events);
     assert_eq!(doc.block_cycles, live.block_cycles);
+}
+
+const BATCH_FIXTURE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_trace_batch_v2.json");
+
+/// The canonical faulted batch run `golden_trace_batch_v2.json` pins: the
+/// golden matrix through the row-parallel batch executor, with index
+/// block 0 CRC-corrupted (every retry fails, so it is served from the raw
+/// store) and job 1, the first value block, trapped once (a retry recovers
+/// it). Host wall-clock fields and the `pool.*` counters are zeroed: the
+/// lane pool is process-global, so its deltas depend on what else ran.
+fn canonical_batch_doc() -> TraceDocument {
+    use recode_spmv::sparse::spmv::SpmvKernel;
+    let a = golden_matrix();
+    let mut recoded = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).expect("compress");
+    recoded.compressed_mut().index_stream.blocks[0].payload[0] ^= 0x40;
+    let sys = SystemConfig::ddr4();
+    let x = vec![1.0; a.ncols()];
+    let hook = FaultHook::new().trap(1);
+    let (y, _, mut doc) = recoded
+        .spmv_traced(&sys, SpmvKernel::RowParallel, &x, Some(&hook), "golden_stencil16_batch")
+        .expect("traced batch run");
+    assert_eq!(y, spmv(&a, &x), "recovered batch run stays bit-exact");
+    normalize_wall(&mut doc);
+    for (name, value) in &mut doc.counters {
+        if name.starts_with("pool.") {
+            *value = 0;
+        }
+    }
+    doc
+}
+
+/// The batch executor's document, retry and fallback included, is pinned
+/// byte for byte like the pipelined one.
+#[test]
+fn batch_golden_trace_matches_the_faulted_canonical_run() {
+    let doc = canonical_batch_doc();
+    let errs = doc.validate();
+    assert!(errs.is_empty(), "canonical batch run fails its own invariants: {errs:?}");
+    assert_eq!(doc.schema, "recode-trace/v2", "pool counters make the batch document v2");
+    let span_names: Vec<&str> = doc.spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(
+        span_names,
+        [
+            "exec.decode_batch",
+            "exec.retry",
+            "exec.fallback",
+            "exec.reassemble",
+            "exec.mem_stream",
+            "exec.dma",
+            "exec.cpu_multiply"
+        ]
+    );
+    let outcomes: Vec<BlockOutcome> = doc.block_events.iter().map(|e| e.outcome).collect();
+    assert_eq!(outcomes, [BlockOutcome::FellBack, BlockOutcome::Retried, BlockOutcome::Ok]);
+    assert_matches_fixture(&doc.to_json_string(), BATCH_FIXTURE, true);
 }
