@@ -4,9 +4,9 @@
 //! batch-wide opcode-class / decode-stage cycle mix (paper Figs. 12/13).
 //!
 //! The `overhead` section times what observability costs on one fixed
-//! matrix (80x80 9-point stencil): the batch decode untraced vs fully
-//! traced (spans, per-block events, traffic ledger), and untraced with the
-//! flight recorder off vs on. Each figure is the median wall time of
+//! matrix (80x80 9-point stencil): the batch decode alone (`untraced`) vs
+//! the decode plus folding its stats into a trace document (`traced`), and
+//! the decode with the flight recorder off vs on. Each figure is the median wall time of
 //! [`OVERHEAD_REPS`] runs; `_wall_ns` metrics are informational in
 //! `recode bench-compare`, never gated.
 //!
@@ -16,10 +16,10 @@
 use recode_bench::{corpus_entries, parse_args};
 use recode_codec::pipeline::MatrixCodecConfig;
 use recode_core::corpus::CorpusScale;
-use recode_core::exec::{RecodedSpmv, RunOptions};
+use recode_core::exec::RecodedSpmv;
 use recode_core::json::Json;
 use recode_core::recorder;
-use recode_core::telemetry::Telemetry;
+use recode_core::telemetry::TraceDocument;
 use recode_core::SystemConfig;
 use recode_sparse::gen::{generate, GenSpec, ValueModel};
 use recode_sparse::spmv::SpmvKernel;
@@ -106,7 +106,8 @@ fn median_wall_ns(mut run: impl FnMut()) -> u64 {
     ns[ns.len() / 2]
 }
 
-/// Untraced vs traced, and recorder off vs on, over one fixed matrix.
+/// Decode vs decode plus trace fold, and recorder off vs on, over one
+/// fixed matrix.
 fn overhead(sys: &SystemConfig) -> Json {
     let a = generate(
         &GenSpec::Stencil2D {
@@ -125,10 +126,11 @@ fn overhead(sys: &SystemConfig) -> Json {
     recorder::disable();
     let untraced_wall_ns = median_wall_ns(untraced);
     let traced_wall_ns = median_wall_ns(|| {
-        let mut tel = Telemetry::new();
-        let opts = RunOptions { trace: Some(&mut tel), ..RunOptions::default() };
-        let (_, stats) = r.decompress_via_udp_with(sys, opts).expect("traced");
-        std::hint::black_box((stats.accel.makespan_cycles, tel.block_events().len()));
+        let t_run = std::time::Instant::now();
+        let (_, stats) = r.decompress_via_udp(sys).expect("traced decode");
+        let wall_ns = t_run.elapsed().as_nanos() as u64;
+        let doc = TraceDocument::from_run(&r, sys, &stats, "overhead", wall_ns);
+        std::hint::black_box((stats.accel.makespan_cycles, doc.block_events.len()));
     });
     let recorder_off_wall_ns = median_wall_ns(untraced);
     recorder::enable(recorder::DEFAULT_CAPACITY);
@@ -180,9 +182,10 @@ fn main() {
             }
         };
         let x = vec![1.0; a.ncols()];
-        let (_, stats, doc) = r
-            .spmv_traced(&sys, SpmvKernel::Serial, &x, None, &entry.name)
-            .expect("traced spmv on self-encoded corpus");
+        let t_run = std::time::Instant::now();
+        let (_, stats) = r.spmv(&sys, SpmvKernel::Serial, &x).expect("spmv on self-encoded corpus");
+        let wall_ns = t_run.elapsed().as_nanos() as u64;
+        let doc = TraceDocument::from_run(&r, &sys, &stats, &entry.name, wall_ns);
         let accel = &stats.accel;
         opclass.merge(&accel.opclass);
         stages.merge(&accel.stage_cycles);

@@ -18,8 +18,16 @@
 //! exhausted does the call fail, with [`ExecError::Unrecoverable`] naming
 //! the block.
 //!
-//! Fault injection, a [`JobBudget`] and a [`Telemetry`] registry reach
-//! every executor entry point through one [`RunOptions`] value.
+//! Fault injection and a [`JobBudget`] reach every executor entry point
+//! through one [`RunOptions`] value.
+//!
+//! ## One run path
+//!
+//! Every run records its phase spans (host wall time, modeled seconds,
+//! bytes) and one [`BlockEvent`] per decode job into the [`ExecStats`] it
+//! returns, and
+//! [`TraceDocument::from_run`](crate::telemetry::TraceDocument::from_run)
+//! folds those stats into the trace document.
 
 use crate::arch::SystemConfig;
 use crate::error::{ExecError, ExecResult};
@@ -28,21 +36,18 @@ use crate::recorder;
 use crate::resilience::{
     BreakerState, BudgetTracker, CircuitBreaker, JobBudget, JobReport, JobState,
 };
-use crate::telemetry::{
-    BlockEvent, BlockOutcome, MatrixMeta, StreamKind, SystemMeta, Telemetry, TraceDocument,
-};
+use crate::telemetry::{BlockEvent, BlockOutcome, Span, StreamKind};
 use recode_codec::block::BlockStream;
 use recode_codec::pipeline::{CompressedMatrix, MatrixCodecConfig};
 use recode_codec::telemetry::StageTelemetry;
 use recode_codec::CodecError;
-use recode_mem::traffic::TrafficSource;
 use recode_sparse::spmv::{spmv_with_into, SpmvKernel};
 use recode_sparse::Csr;
 use recode_udp::accel::{AccelReport, BatchOutcome, FaultHook, JobEvent, JobEventSink, JobOutcome};
+use recode_udp::pool::PoolStats;
 use recode_udp::progs::DshDecoder;
 use recode_udp::{Lane, UdpError};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How many times a failed block is re-decoded on a fresh lane before the
@@ -50,25 +55,14 @@ use std::time::Instant;
 pub const MAX_BLOCK_RETRIES: usize = 2;
 
 /// What one executor run is asked to do besides decoding:
-/// `RunOptions::default()` is the plain, unbudgeted, untraced run.
-#[derive(Debug, Default)]
+/// `RunOptions::default()` is the plain, unbudgeted run.
+#[derive(Debug, Default, Clone, Copy)]
 pub struct RunOptions<'a> {
     /// Faults injected into each block's first decode attempt; retries run
     /// hook-free, modeling transient faults that clear.
     pub faults: Option<&'a FaultHook>,
     /// Limits consulted at every retry boundary.
     pub budget: Option<&'a JobBudget>,
-    /// Registry the run records spans, counters, block events and traffic
-    /// into.
-    pub trace: Option<&'a mut Telemetry>,
-}
-
-impl RunOptions<'_> {
-    /// The same options with the registry lent out, so the caller can keep
-    /// recording into it after the run.
-    fn reborrow(&mut self) -> RunOptions<'_> {
-        RunOptions { faults: self.faults, budget: self.budget, trace: self.trace.as_deref_mut() }
-    }
 }
 
 /// Statistics from one UDP-decoded execution.
@@ -120,6 +114,18 @@ pub struct ExecStats {
     /// (`enabled == false`) on the plain batch path, populated by the
     /// [`crate::overlap::OverlapExecutor`].
     pub overlap: OverlapStats,
+    /// The run's phases in execution order: host wall time, modeled
+    /// seconds and bytes of each. In-memory only; the trace document
+    /// carries them at its top level.
+    pub spans: Vec<Span>,
+    /// One record per decode job, in job order (cache hits decode nothing
+    /// and are not jobs). In-memory only, like `spans`.
+    pub block_events: Vec<BlockEvent>,
+    /// Lane-pool activity over the run, as deltas of the process-wide
+    /// pool's counters; concurrent runs inflate them, so they are reported,
+    /// never validated. Sampled by the batch path only; other runs leave
+    /// it `None`.
+    pub pool: Option<PoolStats>,
 }
 
 impl ExecStats {
@@ -235,8 +241,9 @@ impl RecodedSpmv {
     /// [`RecodedSpmv::new`] with codec-stage telemetry attached: per-stage
     /// encode timings are recorded during compression here, decode timings
     /// whenever [`RecodedSpmv::decompress_via_software`] runs, and the
-    /// accumulated snapshot lands in the [`TraceDocument`] that
-    /// [`RecodedSpmv::spmv_traced`] produces.
+    /// accumulated snapshot lands in every trace document
+    /// [`TraceDocument::from_run`](crate::telemetry::TraceDocument::from_run)
+    /// folds from a run over this matrix.
     ///
     /// # Errors
     /// As [`RecodedSpmv::new`].
@@ -328,11 +335,11 @@ impl RecodedSpmv {
     ///   [`ExecStats::backoff_cycles`] and stretches the modeled makespan
     ///   without touching busy cycles; an unbounded budget behaves exactly
     ///   like none.
-    /// * `trace` records per-phase spans (`exec.decode_batch`,
-    ///   `exec.retry`, `exec.fallback`, `exec.reassemble`,
-    ///   `exec.mem_stream`, `exec.dma`), per-block events with lane and
-    ///   outcome, dotted counters, and memory traffic by source; when
-    ///   `None`, no clocks are read and no events are collected.
+    ///
+    /// The returned stats carry the phase spans (`exec.decode_batch`,
+    /// `exec.retry`, `exec.fallback`, `exec.reassemble`, `exec.mem_stream`,
+    /// `exec.dma`), one block event per job with its lane and outcome, and
+    /// the lane-pool deltas of the run.
     ///
     /// # Errors
     /// As [`RecodedSpmv::decompress_via_udp`], plus
@@ -342,7 +349,7 @@ impl RecodedSpmv {
         sys: &SystemConfig,
         opts: RunOptions<'_>,
     ) -> ExecResult<(Csr, ExecStats)> {
-        let RunOptions { faults, budget, trace: tel } = opts;
+        let RunOptions { faults, budget } = opts;
         check_stream_structure(&self.compressed.index_stream)?;
         check_stream_structure(&self.compressed.value_stream)?;
 
@@ -360,8 +367,8 @@ impl RecodedSpmv {
             decoder.decode_block(lane, &encoded.blocks[pos])
         };
         let empty_hook = FaultHook::default();
-        let pool_before = tel.is_some().then(|| recode_udp::pool::global().stats());
-        let events: Mutex<Vec<JobEvent>> = Mutex::new(Vec::new());
+        let pool_before = recode_udp::pool::global().stats();
+        // The sink only feeds the flight recorder's lane tracks.
         let sink_fn = |e: &JobEvent| {
             recorder::record(
                 recorder::EventKind::BlockOutcome,
@@ -370,18 +377,14 @@ impl RecodedSpmv {
                 e.cycles,
                 0,
             );
-            events.lock().expect("event sink poisoned").push(*e);
         };
-        // The sink also fires for a recorder-only run (`--chrome-trace`
-        // without `--trace`) so lane-track block events still materialize.
-        let sink: Option<JobEventSink<'_>> =
-            if tel.is_some() || recorder::is_enabled() { Some(&sink_fn) } else { None };
-        let t_batch = tel.is_some().then(Instant::now);
+        let sink: Option<JobEventSink<'_>> = recorder::is_enabled().then_some(&sink_fn);
+        let t_batch = Instant::now();
         let outcome: BatchOutcome<UdpError> = {
             let _span = recorder::span(recorder::Track::MAIN, "exec.decode_batch");
             sys.udp.run_jobs_observed(&jobs, run, faults.unwrap_or(&empty_hook), sink)
         };
-        let batch_ns = t_batch.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let batch_ns = t_batch.elapsed().as_nanos() as u64;
 
         let mut report = outcome.report;
         let mut tracker = budget.map(|b| BudgetTracker::new(*b));
@@ -393,30 +396,31 @@ impl RecodedSpmv {
         let mut retry_cycles = 0u64;
         let mut retry_ns = 0u64;
         let mut fallback_ns = 0u64;
-        // Per-job corrections for the event records: successful-retry cycles
-        // or the fallback marker. Empty on a clean run.
-        let mut recovered_jobs: BTreeMap<usize, (u64, BlockOutcome)> = BTreeMap::new();
+        let mut block_events = Vec::with_capacity(jobs.len());
         let mut outputs: Vec<Vec<u8>> = Vec::with_capacity(jobs.len());
 
         for (k, result) in outcome.results.into_iter().enumerate() {
+            let (stream, block) = jobs[k];
+            let mut event = |cycles, outcome| {
+                let lane = k % sys.udp.lanes;
+                block_events.push(BlockEvent { job: k, stream, block, lane, cycles, outcome });
+            };
             if let Ok(o) = result {
                 blocks_ok += 1;
+                event(o.cycles, BlockOutcome::Ok);
                 outputs.push(o.output);
                 continue;
             }
-            let t_retry = tel.is_some().then(Instant::now);
+            let t_retry = Instant::now();
             // One pooled lane serves every retry attempt: `run` fully
             // resets lane state, so attempt N is as "fresh" as a new lane.
             let mut lane = recode_udp::pool::global().checkout();
-            let (stream, pos) = jobs[k];
             let recovered = self
-                .recover_block(stream, pos, k, &mut lane, recorder::Track::MAIN, tracker.as_mut())
+                .recover_block(stream, block, k, &mut lane, recorder::Track::MAIN, tracker.as_mut())
                 .map_err(|e| {
                     with_completed_blocks(e, blocks_ok + blocks_recovered + blocks_fell_back)
                 })?;
-            if let Some(t) = t_retry {
-                retry_ns += t.elapsed().as_nanos() as u64;
-            }
+            retry_ns += t_retry.elapsed().as_nanos() as u64;
             blocks_retried += recovered.attempts();
             match recovered {
                 Recovered::Retried { outcome: o, .. } => {
@@ -424,20 +428,18 @@ impl RecodedSpmv {
                     report.opclass.merge(&o.opclass);
                     report.stage_cycles.merge(&o.stage_cycles);
                     retry_cycles += o.cycles;
-                    recovered_jobs.insert(k, (o.cycles, BlockOutcome::Retried));
+                    event(o.cycles, BlockOutcome::Retried);
                     blocks_recovered += 1;
                     outputs.push(o.output);
                 }
                 Recovered::FellBack(raw) => {
-                    let t_fallback = tel.is_some().then(Instant::now);
+                    let t_fallback = Instant::now();
                     blocks_fell_back += 1;
                     fallback_bytes += raw.len();
                     report.output_bytes += raw.len() as u64;
-                    recovered_jobs.insert(k, (0, BlockOutcome::FellBack));
+                    event(0, BlockOutcome::FellBack);
                     outputs.push(raw.to_vec());
-                    if let Some(t) = t_fallback {
-                        fallback_ns += t.elapsed().as_nanos() as u64;
-                    }
+                    fallback_ns += t_fallback.elapsed().as_nanos() as u64;
                 }
             }
         }
@@ -458,7 +460,7 @@ impl RecodedSpmv {
             report.refresh_utilization();
         }
 
-        let t_reassemble = tel.is_some().then(Instant::now);
+        let t_reassemble = Instant::now();
         let index_bytes: Vec<u8> = outputs[..n_index].concat();
         let value_bytes: Vec<u8> = outputs[n_index..].concat();
         if !index_bytes.len().is_multiple_of(4) {
@@ -490,16 +492,40 @@ impl RecodedSpmv {
             values,
         )
         .map_err(|e| ExecError::Reassembly(format!("decoded matrix invalid: {e}")))?;
-        let reassemble_ns = t_reassemble.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let reassemble_ns = t_reassemble.elapsed().as_nanos() as u64;
 
         let compressed_bytes = self.compressed.wire_bytes();
         // Fallback re-fetch is extra memory traffic over the same channel.
         let mem_stream_seconds = sys.mem.stream_seconds(compressed_bytes as u64)
             + sys.mem.stream_seconds(fallback_bytes as u64);
+        let dma_seconds = sys.dma.transfer_seconds(jobs.len() as u64, compressed_bytes as u64);
+        let freq = sys.udp.freq_hz;
+        let mut spans = vec![Span::new(
+            "exec.decode_batch",
+            batch_ns,
+            (report.makespan_cycles - retry_cycles) as f64 / freq,
+            report.output_bytes,
+        )];
+        if blocks_retried > 0 {
+            spans.push(Span::new("exec.retry", retry_ns, retry_cycles as f64 / freq, 0));
+        }
+        if blocks_fell_back > 0 {
+            spans.push(Span::new("exec.fallback", fallback_ns, 0.0, fallback_bytes as u64));
+        }
+        spans.extend([
+            Span::new("exec.reassemble", reassemble_ns, 0.0, decoded_bytes),
+            Span::new(
+                "exec.mem_stream",
+                0,
+                mem_stream_seconds,
+                (compressed_bytes + fallback_bytes) as u64,
+            ),
+            Span::new("exec.dma", 0, dma_seconds, compressed_bytes as u64),
+        ]);
         let stats = ExecStats {
             accel: report,
             mem_stream_seconds,
-            dma_seconds: sys.dma.transfer_seconds(jobs.len() as u64, compressed_bytes as u64),
+            dma_seconds,
             compressed_bytes,
             blocks_retried,
             blocks_fell_back,
@@ -511,81 +537,10 @@ impl RecodedSpmv {
             blocks_ok,
             blocks_recovered,
             overlap: OverlapStats::default(),
+            spans,
+            block_events,
+            pool: Some(recode_udp::pool::global().stats().since(&pool_before)),
         };
-
-        if let Some(tel) = tel {
-            let freq = sys.udp.freq_hz;
-            let batch_modeled = (stats.accel.makespan_cycles - stats.retry_cycles) as f64 / freq;
-            tel.span("exec.decode_batch", batch_ns, batch_modeled, stats.accel.output_bytes);
-            if stats.blocks_retried > 0 {
-                tel.span("exec.retry", retry_ns, stats.retry_cycles as f64 / freq, 0);
-            }
-            if stats.blocks_fell_back > 0 {
-                tel.span("exec.fallback", fallback_ns, 0.0, stats.fallback_bytes as u64);
-            }
-            tel.span("exec.reassemble", reassemble_ns, 0.0, decoded_bytes);
-            tel.span(
-                "exec.mem_stream",
-                0,
-                stats.mem_stream_seconds,
-                (compressed_bytes + fallback_bytes) as u64,
-            );
-            tel.span("exec.dma", 0, stats.dma_seconds, compressed_bytes as u64);
-
-            tel.add("exec.jobs", stats.accel.jobs as u64);
-            tel.add("exec.jobs_failed", stats.accel.jobs_failed as u64);
-            tel.add("exec.blocks_retried", stats.blocks_retried as u64);
-            tel.add("exec.blocks_fell_back", stats.blocks_fell_back as u64);
-            tel.add("exec.fallback_bytes", stats.fallback_bytes as u64);
-            tel.add("exec.retry_cycles", stats.retry_cycles);
-
-            // Lane-pool traffic over this batch, as deltas of the
-            // process-wide pool's monotonic counters. Parallel tests can
-            // inflate these (the pool is shared), so they are reported, not
-            // validated. Emitting any `pool.*` counter stamps the document
-            // `recode-trace/v2`.
-            // Saturating: `LanePool::reset` (chaos trial isolation) can zero
-            // the counters mid-run in a shared process.
-            if let Some(before) = pool_before {
-                let after = recode_udp::pool::global().stats();
-                tel.add("pool.checkouts", after.checkouts.saturating_sub(before.checkouts));
-                tel.add(
-                    "pool.recycled_hits",
-                    after.recycled_hits.saturating_sub(before.recycled_hits),
-                );
-                tel.add(
-                    "pool.fresh_builds",
-                    after.fresh_builds.saturating_sub(before.fresh_builds),
-                );
-                tel.add("pool.returned", after.returned.saturating_sub(before.returned));
-                tel.add(
-                    "pool.dropped_at_capacity",
-                    after.dropped_at_capacity.saturating_sub(before.dropped_at_capacity),
-                );
-                tel.add("pool.quarantined", after.quarantined.saturating_sub(before.quarantined));
-                tel.add("pool.readmitted", after.readmitted.saturating_sub(before.readmitted));
-            }
-
-            tel.traffic.read(TrafficSource::CompressedStream, compressed_bytes as u64);
-            tel.traffic.read(TrafficSource::FallbackRefetch, stats.fallback_bytes as u64);
-            tel.traffic.read(TrafficSource::RowPtr, ((self.compressed.nrows + 1) * 8) as u64);
-
-            let mut evs = events.into_inner().expect("event sink poisoned");
-            evs.sort_by_key(|e| e.job);
-            for e in evs {
-                let (cycles, outcome) =
-                    recovered_jobs.get(&e.job).copied().unwrap_or((e.cycles, BlockOutcome::Ok));
-                let (stream, block) = jobs[e.job];
-                tel.block_event(BlockEvent {
-                    job: e.job,
-                    stream,
-                    block,
-                    lane: e.lane,
-                    cycles,
-                    outcome,
-                });
-            }
-        }
         Ok((a, stats))
     }
 
@@ -604,8 +559,9 @@ impl RecodedSpmv {
     }
 
     /// [`RecodedSpmv::spmv`] under `opts`, as for
-    /// [`RecodedSpmv::decompress_via_udp_with`]. A traced run also records
-    /// the `exec.cpu_multiply` span and the dense-vector traffic.
+    /// [`RecodedSpmv::decompress_via_udp_with`]. The stats also carry the
+    /// `exec.cpu_multiply` span, whose bytes are the dense vectors the
+    /// multiply streams through memory.
     ///
     /// # Errors
     /// As [`RecodedSpmv::decompress_via_udp_with`].
@@ -614,28 +570,21 @@ impl RecodedSpmv {
         sys: &SystemConfig,
         kernel: SpmvKernel,
         x: &[f64],
-        mut opts: RunOptions<'_>,
+        opts: RunOptions<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        let (a, stats) = self.decompress_via_udp_with(sys, opts.reborrow())?;
-        let t_multiply = opts.trace.is_some().then(Instant::now);
+        let (a, mut stats) = self.decompress_via_udp_with(sys, opts)?;
+        let t_multiply = Instant::now();
         let mut y = vec![0.0; a.nrows()];
         spmv_with_into(kernel, &a, x, &mut y);
-        if let (Some(tel), Some(t)) = (opts.trace, t_multiply) {
-            let multiply_ns = t.elapsed().as_nanos() as u64;
-            // The multiply streams the dense vectors through the memory
-            // interface (the decoded matrix stays on-chip in the paper's
-            // tiled flow, so only x and y are charged to DRAM).
-            let vector_read = (a.ncols() * 8) as u64;
-            let vector_write = (a.nrows() * 8) as u64;
-            tel.traffic.read(TrafficSource::Vectors, vector_read);
-            tel.traffic.write(TrafficSource::Vectors, vector_write);
-            tel.span(
-                "exec.cpu_multiply",
-                multiply_ns,
-                sys.mem.stream_seconds(vector_read + vector_write),
-                vector_read + vector_write,
-            );
-        }
+        // The decoded matrix stays on-chip in the paper's tiled flow, so
+        // only x and y are charged to DRAM.
+        let vector_bytes = ((a.ncols() + a.nrows()) * 8) as u64;
+        stats.spans.push(Span::new(
+            "exec.cpu_multiply",
+            t_multiply.elapsed().as_nanos() as u64,
+            sys.mem.stream_seconds(vector_bytes),
+            vector_bytes,
+        ));
         Ok((y, stats))
     }
 
@@ -662,32 +611,10 @@ impl RecodedSpmv {
     /// The degradation ladder, top to bottom: accelerator happy path →
     /// per-block retry → per-block raw-CSR re-fetch → (breaker open)
     /// whole-job software decode. Every rung is bit-exact; only the last
-    /// gives up on the accelerator entirely.
+    /// gives up on the accelerator entirely. The caller keeps the breaker:
+    /// [`TraceDocument::attach_breaker`](crate::telemetry::TraceDocument::attach_breaker)
+    /// records its posture in a trace.
     pub fn run_job(
-        &self,
-        sys: &SystemConfig,
-        mut opts: RunOptions<'_>,
-        mut breaker: Option<&mut CircuitBreaker>,
-    ) -> JobReport {
-        let report = self.run_job_inner(sys, opts.reborrow(), breaker.as_deref_mut());
-        // Breaker posture after the job, as `breaker.*` counters (v2
-        // content). `breaker.state` is a code: 0 closed, 1 open, 2 half-open.
-        if let (Some(tel), Some(b)) = (opts.trace, breaker.as_deref()) {
-            tel.add("breaker.trips", b.trips());
-            tel.add("breaker.probes", b.probes());
-            tel.add(
-                "breaker.state",
-                match b.state() {
-                    BreakerState::Closed => 0,
-                    BreakerState::Open => 1,
-                    BreakerState::HalfOpen => 2,
-                },
-            );
-        }
-        report
-    }
-
-    fn run_job_inner(
         &self,
         sys: &SystemConfig,
         opts: RunOptions<'_>,
@@ -753,84 +680,6 @@ impl RecodedSpmv {
                 }
             }
         }
-    }
-
-    /// [`RecodedSpmv::run_job`] plus a sealed [`TraceDocument`] when the
-    /// job produced stats (every state but `Rejected`/`DeadlineExceeded`).
-    /// The document carries the `pool.*` and — when a breaker was supplied —
-    /// `breaker.*` counters, so it is always stamped `recode-trace/v2`.
-    /// This is the `recode metrics` scrape path.
-    pub fn run_job_traced(
-        &self,
-        sys: &SystemConfig,
-        faults: Option<&FaultHook>,
-        budget: &JobBudget,
-        breaker: Option<&mut CircuitBreaker>,
-        name: &str,
-    ) -> (JobReport, Option<TraceDocument>) {
-        let t_total = Instant::now();
-        let mut tel = Telemetry::new();
-        let opts = RunOptions { faults, budget: Some(budget), trace: Some(&mut tel) };
-        let report = self.run_job(sys, opts, breaker);
-        let doc =
-            report.stats.as_ref().map(|stats| self.seal_trace(tel, sys, stats, name, t_total));
-        (report, doc)
-    }
-
-    /// Fully traced SpMV: [`RecodedSpmv::spmv_with`] plus a sealed
-    /// [`TraceDocument`] covering every phase — UDP decode with per-lane and
-    /// per-opcode-class breakdowns, retry/fallback recovery, reassembly,
-    /// modeled memory/DMA streaming, and the CPU multiply — along with
-    /// per-block events, dotted counters, memory traffic by source, and the
-    /// codec-stage snapshot (non-zero when built via
-    /// [`RecodedSpmv::new_traced`]). `name` labels the matrix in the trace.
-    ///
-    /// # Errors
-    /// As [`RecodedSpmv::decompress_via_udp`].
-    pub fn spmv_traced(
-        &self,
-        sys: &SystemConfig,
-        kernel: SpmvKernel,
-        x: &[f64],
-        faults: Option<&FaultHook>,
-        name: &str,
-    ) -> ExecResult<(Vec<f64>, ExecStats, TraceDocument)> {
-        let t_total = Instant::now();
-        let mut tel = Telemetry::new();
-        let opts = RunOptions { faults, trace: Some(&mut tel), ..RunOptions::default() };
-        let (y, stats) = self.spmv_with(sys, kernel, x, opts)?;
-        let doc = self.seal_trace(tel, sys, &stats, name, t_total);
-        Ok((y, stats, doc))
-    }
-
-    /// Seals a traced run of either executor over this matrix into its
-    /// [`TraceDocument`]: matrix and system metadata, the codec-stage
-    /// snapshot, and the wall time since `t_total`.
-    pub(crate) fn seal_trace(
-        &self,
-        tel: Telemetry,
-        sys: &SystemConfig,
-        stats: &ExecStats,
-        name: &str,
-        t_total: Instant,
-    ) -> TraceDocument {
-        let cm = &self.compressed;
-        let matrix = MatrixMeta {
-            name: name.to_string(),
-            nrows: cm.nrows,
-            ncols: cm.ncols,
-            nnz: cm.nnz,
-            compressed_bytes: stats.compressed_bytes,
-            bytes_per_nnz: cm.bytes_per_nnz(),
-        };
-        let system = SystemMeta {
-            memory: sys.mem.name.to_string(),
-            lanes: sys.udp.lanes,
-            freq_hz: sys.udp.freq_hz,
-        };
-        let codec_stages = self.stage_telemetry.as_ref().map(|t| t.snapshot()).unwrap_or_default();
-        let wall_ns_total = t_total.elapsed().as_nanos() as u64;
-        tel.into_document(matrix, system, stats.clone(), codec_stages, &sys.mem, wall_ns_total)
     }
 
     /// Software-only decode path (reference), for differential testing.
@@ -984,7 +833,7 @@ mod tests {
     }
 
     fn budgeted<'a>(faults: Option<&'a FaultHook>, budget: &'a JobBudget) -> RunOptions<'a> {
-        RunOptions { faults, budget: Some(budget), trace: None }
+        RunOptions { faults, budget: Some(budget) }
     }
 
     fn test_matrix() -> Csr {
@@ -1120,13 +969,17 @@ mod tests {
     }
 
     #[test]
-    fn traced_spmv_emits_a_consistent_document() {
+    fn spmv_stats_fold_into_a_consistent_document() {
+        use crate::telemetry::TraceDocument;
         let a = test_matrix();
         let r = RecodedSpmv::new_traced(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-        let (y, stats, doc) = r.spmv_traced(&sys, SpmvKernel::Serial, &x, None, "stencil").unwrap();
-        assert_eq!(y, recode_sparse::spmv::spmv(&a, &x), "tracing must not change results");
+        let t0 = Instant::now();
+        let (y, stats) = r.spmv(&sys, SpmvKernel::Serial, &x).unwrap();
+        let doc =
+            TraceDocument::from_run(&r, &sys, &stats, "stencil", t0.elapsed().as_nanos() as u64);
+        assert_eq!(y, recode_sparse::spmv::spmv(&a, &x));
         let errs = doc.validate();
         assert!(errs.is_empty(), "trace invariants violated: {errs:?}");
         assert_eq!(doc.matrix.name, "stencil");
@@ -1150,15 +1003,10 @@ mod tests {
         assert!(doc.counter("mem.read.compressed_stream") == stats.compressed_bytes as u64);
         assert!(doc.counter("mem.read.row_ptr") > 0);
         assert!(doc.counter("mem.read.vectors") > 0);
-        // A traced run and an untraced run model the same machine.
-        let (y2, stats2) = r.spmv(&sys, SpmvKernel::Serial, &x).unwrap();
-        assert_eq!(y, y2);
-        assert_eq!(stats.accel.makespan_cycles, stats2.accel.makespan_cycles);
     }
 
     #[test]
-    fn traced_run_classifies_block_outcomes() {
-        use crate::telemetry::{BlockOutcome, StreamKind, Telemetry};
+    fn block_events_classify_outcomes() {
         let a = test_matrix();
         let mut r = RecodedSpmv::new(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         // Job 0 (index block 0) traps transiently; value block 0 is corrupt
@@ -1167,15 +1015,9 @@ mod tests {
         let n_index = r.compressed().index_stream.blocks.len();
         let sys = SystemConfig::ddr4();
         let hook = FaultHook::new().trap(0);
-        let mut tel = Telemetry::new();
-        let (b, stats) = r
-            .decompress_via_udp_with(
-                &sys,
-                RunOptions { faults: Some(&hook), trace: Some(&mut tel), ..RunOptions::default() },
-            )
-            .unwrap();
+        let (b, stats) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
         assert_eq!(b, a);
-        let evs = tel.block_events();
+        let evs = &stats.block_events;
         assert_eq!(evs.len(), stats.accel.jobs);
         for (k, e) in evs.iter().enumerate() {
             assert_eq!(e.job, k, "events sorted by job");
@@ -1191,7 +1033,6 @@ mod tests {
         assert_eq!(fb.cycles, 0, "fallback block never decoded");
         let ok = evs.iter().filter(|e| e.outcome == BlockOutcome::Ok).count();
         assert_eq!(ok, evs.len() - 2);
-        assert_eq!(tel.block_cycles().count, evs.len() as u64);
     }
 
     #[test]

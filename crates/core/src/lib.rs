@@ -25,8 +25,9 @@
 //! * [`experiment`] — per-figure experiment runners with serializable
 //!   results;
 //! * [`report`] — plain-text tables matching the paper's figures;
-//! * [`telemetry`] — the span/counter/histogram registry behind
-//!   `recode spmv --trace`, sealed into a schema-stable [`TraceDocument`];
+//! * [`telemetry`] — the schema-stable [`TraceDocument`] behind
+//!   `recode spmv --trace`, folded from a run's [`ExecStats`] by
+//!   [`TraceDocument::from_run`];
 //! * [`recorder`] — the always-on flight recorder: a lock-light ring of
 //!   typed runtime events (spans, block outcomes, breaker transitions,
 //!   pool and cache traffic) exportable as a Chrome/Perfetto trace via
@@ -84,5 +85,5 @@ pub use tune::{
 
 pub use telemetry::{
     render_report, BlockEvent, BlockOutcome, CycleHistogram, MatrixMeta, RecorderSummary, Span,
-    StreamKind, SystemMeta, Telemetry, TraceDocument, TRACE_SCHEMA, TRACE_SCHEMA_V1,
+    StreamKind, SystemMeta, TraceDocument, TRACE_SCHEMA, TRACE_SCHEMA_V1,
 };

@@ -177,27 +177,41 @@ fn escape_label(v: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{MatrixMeta, RecorderSummary, SystemMeta, Telemetry};
+    use crate::telemetry::{
+        CycleHistogram, MatrixMeta, RecorderSummary, Span, SystemMeta, TRACE_SCHEMA,
+    };
+    use recode_mem::traffic::TrafficLedger;
     use recode_mem::MemorySystem;
+    use std::collections::BTreeMap;
 
     fn doc() -> TraceDocument {
-        let mut tel = Telemetry::new();
-        tel.add("exec.jobs", 8);
-        tel.add("pool.checkouts", 3);
-        tel.span("exec.decode_batch", 1_000, 0.0, 64);
-        let mut doc = tel.into_document(
-            MatrixMeta { name: "m".into(), nnz: 100, bytes_per_nnz: 4.5, ..MatrixMeta::default() },
-            SystemMeta::default(),
-            crate::exec::ExecStats::default(),
-            recode_codec::telemetry::CodecStageReport::default(),
-            &MemorySystem::ddr4(),
-            5_000,
-        );
+        let mut doc = TraceDocument {
+            schema: TRACE_SCHEMA.to_string(),
+            matrix: MatrixMeta {
+                name: "m".into(),
+                nnz: 100,
+                bytes_per_nnz: 4.5,
+                ..MatrixMeta::default()
+            },
+            system: SystemMeta::default(),
+            wall_ns_total: 5_000,
+            spans: vec![Span::new("exec.decode_batch", 1_000, 0.0, 64)],
+            counters: BTreeMap::from([
+                ("exec.jobs".to_string(), 8),
+                ("pool.checkouts".to_string(), 3),
+            ]),
+            block_cycles: CycleHistogram::new(),
+            block_events: Vec::new(),
+            codec_stages: recode_codec::telemetry::CodecStageReport::default(),
+            mem_traffic: TrafficLedger::new().report(&MemorySystem::ddr4()),
+            exec: crate::exec::ExecStats::default(),
+            recorder: None,
+        };
         doc.attach_recorder(RecorderSummary {
             recorded: 10,
             dropped: 2,
             capacity: 256,
-            by_kind: std::collections::BTreeMap::from([
+            by_kind: BTreeMap::from([
                 ("jit_compile".to_string(), 7u64),
                 ("block_done".to_string(), 3u64),
             ]),

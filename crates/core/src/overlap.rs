@@ -32,7 +32,7 @@
 //! of the lanes: iterative callers — [`OverlapExecutor::spmv_iter`],
 //! [`OverlapExecutor::conjugate_gradient`] — pay decode cost once and hit
 //! the cache on every later iteration, with hits/misses/evictions folded into
-//! [`ExecStats`] and the telemetry trace.
+//! [`ExecStats`] and the trace document.
 //!
 //! The schedule composes with the fault layer of [`crate::exec`]: a block
 //! that traps goes down the same fault ladder as on the batch path
@@ -47,8 +47,7 @@ use crate::exec::{
 };
 use crate::recorder;
 use crate::resilience::{BudgetTracker, JobBudget};
-use crate::telemetry::{BlockEvent, BlockOutcome, StreamKind, Telemetry, TraceDocument};
-use recode_mem::traffic::TrafficSource;
+use crate::telemetry::{BlockEvent, BlockOutcome, Span, StreamKind};
 use recode_sparse::solve::{self, SolveResult};
 use recode_udp::accel::{panic_payload_message, AccelReport, FaultHook};
 use std::collections::{BTreeMap, HashMap};
@@ -293,16 +292,6 @@ impl DecodedBlock {
     }
 }
 
-/// Telemetry record of one decode job (cache hits decode nothing and are
-/// therefore not jobs).
-struct BlockRecord {
-    job: usize,
-    stream: StreamKind,
-    block: usize,
-    cycles: u64,
-    outcome: BlockOutcome,
-}
-
 /// One tile of work handed from the decode side to the multiply side.
 struct TileWork {
     tile: usize,
@@ -323,7 +312,8 @@ struct TileResult {
 struct ProducerOut {
     per_tile_decode: Vec<u64>,
     per_tile_nnz: Vec<usize>,
-    records: Vec<BlockRecord>,
+    /// One event per decode job, in production order.
+    events: Vec<BlockEvent>,
     jobs: usize,
     jobs_failed: usize,
     blocks_ok: usize,
@@ -404,28 +394,6 @@ impl<'m> OverlapExecutor<'m> {
     /// If `x.len() != ncols`.
     pub fn spmv(&self, sys: &SystemConfig, x: &[f64]) -> ExecResult<(Vec<f64>, ExecStats)> {
         self.spmv_with(sys, x, RunOptions::default())
-    }
-
-    /// Fully traced pipelined SpMV: the run's spans (`exec.overlap`,
-    /// `exec.mem_stream`, `exec.dma`), `pipeline.overlap.*` and `cache.*`
-    /// counters, per-block events, and traffic by source sealed into a
-    /// [`TraceDocument`].
-    ///
-    /// # Errors
-    /// As [`OverlapExecutor::spmv`].
-    pub fn spmv_traced(
-        &self,
-        sys: &SystemConfig,
-        x: &[f64],
-        faults: Option<&FaultHook>,
-        name: &str,
-    ) -> ExecResult<(Vec<f64>, ExecStats, TraceDocument)> {
-        let t_total = Instant::now();
-        let mut tel = Telemetry::new();
-        let opts = RunOptions { faults, trace: Some(&mut tel), ..RunOptions::default() };
-        let (y, stats) = self.spmv_with(sys, x, opts)?;
-        let doc = self.recoded.seal_trace(tel, sys, &stats, name, t_total);
-        Ok((y, stats, doc))
     }
 
     /// Repeated SpMV `x ← normalize(A x)` for `iters` iterations — the
@@ -581,9 +549,11 @@ impl<'m> OverlapExecutor<'m> {
     /// tiles to `emit`. Runs on the producer thread (or inline). `emit`
     /// returns `false` when the consumers are gone (every worker exited) —
     /// the producer then stops decoding immediately instead of filling a
-    /// channel nobody drains.
+    /// channel nobody drains. Block events name lane `job % lanes`, the
+    /// batch path's round-robin assignment.
     fn produce_tiles(
         &self,
+        lanes: usize,
         hook: &FaultHook,
         budget: Option<&JobBudget>,
         mut emit: impl FnMut(TileWork) -> bool,
@@ -622,10 +592,11 @@ impl<'m> OverlapExecutor<'m> {
             out.retry_cycles += d.retry_cycles;
             out.stall_cycles += d.stall_cycles;
             out.fetched_bytes += d.wire_bytes;
-            out.records.push(BlockRecord {
+            out.events.push(BlockEvent {
                 job,
                 stream,
                 block: pos,
+                lane: job % lanes,
                 cycles: if d.outcome == BlockOutcome::Retried { d.retry_cycles } else { d.cycles },
                 outcome: d.outcome,
             });
@@ -698,8 +669,9 @@ impl<'m> OverlapExecutor<'m> {
     ///   through the remaining tiles. Backoff accumulates into
     ///   [`ExecStats::backoff_cycles`] as a reported quantity; the modeled
     ///   pipelined makespan keeps its `max(decode, multiply)` definition.
-    /// * `trace` receives the spans, counters, block events and traffic
-    ///   that [`OverlapExecutor::spmv_traced`] seals.
+    ///
+    /// The returned stats carry the `exec.overlap`, `exec.mem_stream` and
+    /// `exec.dma` spans and one block event per decode job, in job order.
     ///
     /// ## Panic containment
     ///
@@ -724,7 +696,7 @@ impl<'m> OverlapExecutor<'m> {
         x: &[f64],
         opts: RunOptions<'_>,
     ) -> ExecResult<(Vec<f64>, ExecStats)> {
-        let RunOptions { faults: hook, budget, trace: tel } = opts;
+        let RunOptions { faults: hook, budget } = opts;
         let cm = self.recoded.compressed();
         assert_eq!(x.len(), cm.ncols, "x length must equal ncols");
         check_stream_structure(&cm.index_stream)?;
@@ -749,7 +721,8 @@ impl<'m> OverlapExecutor<'m> {
                 let out = catch_unwind(AssertUnwindSafe(|| {
                     // `send` fails only when every worker is gone; the
                     // producer then stops decoding instead of blocking.
-                    self.produce_tiles(hook, budget, |tile| tile_tx.send(tile).is_ok())
+                    let lanes = sys.udp.lanes;
+                    self.produce_tiles(lanes, hook, budget, |tile| tile_tx.send(tile).is_ok())
                 }));
                 drop(tile_tx);
                 // The scope waits for this closure, not the thread's TLS
@@ -833,7 +806,7 @@ impl<'m> OverlapExecutor<'m> {
         if let Some(context) = worker_panic.lock().unwrap_or_else(PoisonError::into_inner).take() {
             return Err(ExecError::WorkerPanic { context });
         }
-        let produced = produced?;
+        let mut produced = produced?;
         let wall_ns = t_wall.elapsed().as_nanos() as u64;
 
         // Modeled schedule: the lane decodes tile i+1 while the CPU
@@ -887,14 +860,25 @@ impl<'m> OverlapExecutor<'m> {
         };
         report.refresh_utilization();
 
+        let fetched = (produced.fetched_bytes + produced.fallback_bytes) as u64;
+        let mem_stream_seconds = sys.mem.stream_seconds(fetched);
+        let dma_seconds =
+            sys.dma.transfer_seconds(produced.jobs as u64, produced.fetched_bytes as u64);
+        let spans = vec![
+            Span::new(
+                "exec.overlap",
+                wall_ns,
+                makespan as f64 / sys.udp.freq_hz,
+                produced.decoded_bytes,
+            ),
+            Span::new("exec.mem_stream", 0, mem_stream_seconds, fetched),
+            Span::new("exec.dma", 0, dma_seconds, produced.fetched_bytes as u64),
+        ];
+        produced.events.sort_by_key(|e| e.job);
         let stats = ExecStats {
             accel: report,
-            mem_stream_seconds: sys
-                .mem
-                .stream_seconds((produced.fetched_bytes + produced.fallback_bytes) as u64),
-            dma_seconds: sys
-                .dma
-                .transfer_seconds(produced.jobs as u64, produced.fetched_bytes as u64),
+            mem_stream_seconds,
+            dma_seconds,
             compressed_bytes: produced.fetched_bytes,
             blocks_retried: produced.blocks_retried,
             blocks_fell_back: produced.blocks_fell_back,
@@ -906,57 +890,10 @@ impl<'m> OverlapExecutor<'m> {
             blocks_ok: produced.blocks_ok,
             blocks_recovered: produced.blocks_recovered,
             overlap,
+            spans,
+            block_events: produced.events,
+            pool: None,
         };
-
-        if let Some(tel) = tel {
-            let freq = sys.udp.freq_hz;
-            tel.span("exec.overlap", wall_ns, makespan as f64 / freq, produced.decoded_bytes);
-            tel.span(
-                "exec.mem_stream",
-                0,
-                stats.mem_stream_seconds,
-                (produced.fetched_bytes + produced.fallback_bytes) as u64,
-            );
-            tel.span("exec.dma", 0, stats.dma_seconds, produced.fetched_bytes as u64);
-
-            tel.add("exec.jobs", stats.accel.jobs as u64);
-            tel.add("exec.jobs_failed", stats.accel.jobs_failed as u64);
-            tel.add("exec.blocks_retried", stats.blocks_retried as u64);
-            tel.add("exec.blocks_fell_back", stats.blocks_fell_back as u64);
-            tel.add("exec.fallback_bytes", stats.fallback_bytes as u64);
-            tel.add("exec.retry_cycles", stats.retry_cycles);
-
-            tel.add("pipeline.overlap.stages", overlap.stages as u64);
-            tel.add("pipeline.overlap.decode_cycles", overlap.decode_cycles);
-            tel.add("pipeline.overlap.multiply_cycles", overlap.multiply_cycles);
-            tel.add("pipeline.overlap.makespan_cycles", overlap.overlapped_makespan_cycles);
-            tel.add("pipeline.overlap.serial_cycles", overlap.serial_makespan_cycles);
-            tel.add("pipeline.overlap.saved_cycles", overlap.saved_cycles());
-            tel.add("cache.hits", overlap.cache_hits);
-            tel.add("cache.misses", overlap.cache_misses);
-            tel.add("cache.evictions", overlap.cache_evictions);
-            tel.add("cache.hit_bytes", overlap.cache_hit_bytes);
-
-            tel.traffic.read(TrafficSource::CompressedStream, produced.fetched_bytes as u64);
-            tel.traffic.read(TrafficSource::FallbackRefetch, produced.fallback_bytes as u64);
-            tel.traffic.read(TrafficSource::RowPtr, ((cm.nrows + 1) * 8) as u64);
-            tel.traffic.read(TrafficSource::DecodedCache, overlap.cache_hit_bytes);
-
-            let mut records = produced.records;
-            records.sort_by_key(|r| r.job);
-            for r in records {
-                tel.block_event(BlockEvent {
-                    job: r.job,
-                    stream: r.stream,
-                    block: r.block,
-                    lane: r.job % sys.udp.lanes,
-                    cycles: r.cycles,
-                    outcome: r.outcome,
-                });
-            }
-            tel.traffic.read(TrafficSource::Vectors, (cm.ncols * 8) as u64);
-            tel.traffic.write(TrafficSource::Vectors, (cm.nrows * 8) as u64);
-        }
         Ok((y, stats))
     }
 }
@@ -1013,7 +950,7 @@ mod tests {
     }
 
     fn budgeted<'a>(hook: &'a FaultHook, budget: &'a JobBudget) -> RunOptions<'a> {
-        RunOptions { faults: Some(hook), budget: Some(budget), trace: None }
+        RunOptions { faults: Some(hook), budget: Some(budget) }
     }
 
     fn test_matrix() -> Csr {
@@ -1170,7 +1107,8 @@ mod tests {
     }
 
     #[test]
-    fn traced_overlap_run_seals_a_valid_document() {
+    fn overlap_stats_fold_into_a_valid_document() {
+        use crate::telemetry::TraceDocument;
         let a = test_matrix();
         let r = RecodedSpmv::new_traced(&a, MatrixCodecConfig::udp_dsh()).unwrap();
         let sys = SystemConfig::ddr4();
@@ -1179,7 +1117,10 @@ mod tests {
             &r,
             OverlapConfig { overlap: true, cache_blocks: 512, workers: 2 },
         );
-        let (_, stats, doc) = ex.spmv_traced(&sys, &x, None, "stencil-overlap").unwrap();
+        let t0 = Instant::now();
+        let (_, stats) = ex.spmv(&sys, &x).unwrap();
+        let wall = t0.elapsed().as_nanos() as u64;
+        let doc = TraceDocument::from_run(&r, &sys, &stats, "stencil-overlap", wall);
         let errs = doc.validate();
         assert!(errs.is_empty(), "trace invariants violated: {errs:?}");
         assert!(doc.spans.iter().any(|s| s.name == "exec.overlap"));
@@ -1187,7 +1128,10 @@ mod tests {
         assert_eq!(doc.counter("cache.misses"), stats.overlap.cache_misses);
         assert_eq!(doc.block_events.len(), stats.accel.jobs);
         // Warm run: hits appear in the counters and the traffic ledger.
-        let (_, stats2, doc2) = ex.spmv_traced(&sys, &x, None, "stencil-overlap").unwrap();
+        let t0 = Instant::now();
+        let (_, stats2) = ex.spmv(&sys, &x).unwrap();
+        let wall = t0.elapsed().as_nanos() as u64;
+        let doc2 = TraceDocument::from_run(&r, &sys, &stats2, "stencil-overlap", wall);
         assert!(doc2.validate().is_empty(), "{:?}", doc2.validate());
         assert!(stats2.overlap.cache_hits > 0);
         assert_eq!(doc2.counter("cache.hits"), stats2.overlap.cache_hits);

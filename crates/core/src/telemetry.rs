@@ -1,9 +1,10 @@
 //! Lightweight span/counter/histogram telemetry for the whole recoded-SpMV
 //! pipeline, exported as one stable JSON trace document.
 //!
-//! Everything here is plain data + `std` — no new dependencies. The
-//! trace-off path costs nothing: every instrumented function takes
-//! `Option<&mut Telemetry>` and skips all timing when it is `None`.
+//! Everything here is plain data + `std` — no new dependencies. Both
+//! executors always record their phase spans and block events into the
+//! [`ExecStats`] they return, and [`TraceDocument::from_run`] folds those
+//! stats into the document.
 //!
 //! ## Schema
 //!
@@ -22,10 +23,11 @@
 //!   `ExecStats::accel`), the codec's per-stage timings, and the memory
 //!   traffic ledger by source.
 
-use crate::exec::ExecStats;
+use crate::arch::SystemConfig;
+use crate::exec::{ExecStats, RecodedSpmv};
+use crate::resilience::{BreakerState, CircuitBreaker};
 use recode_codec::telemetry::CodecStageReport;
-use recode_mem::traffic::{TrafficLedger, TrafficReport};
-use recode_mem::MemorySystem;
+use recode_mem::traffic::{TrafficLedger, TrafficReport, TrafficSource};
 use std::collections::BTreeMap;
 
 mod serial;
@@ -105,24 +107,6 @@ impl CycleHistogram {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &CycleHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (&b, &c) in &other.buckets {
-            *self.buckets.entry(b).or_insert(0) += c;
-        }
-    }
 }
 
 /// One named pipeline phase. `wall_ns` is host wall-clock time actually
@@ -138,6 +122,13 @@ pub struct Span {
     pub modeled_seconds: f64,
     /// Bytes the phase processed (0 if not meaningful).
     pub bytes: u64,
+}
+
+impl Span {
+    /// A finished phase.
+    pub fn new(name: &str, wall_ns: u64, modeled_seconds: f64, bytes: u64) -> Self {
+        Span { name: name.to_string(), wall_ns, modeled_seconds, bytes }
+    }
 }
 
 /// Which compressed stream a block belongs to.
@@ -210,122 +201,6 @@ impl RecorderSummary {
     }
 }
 
-/// In-flight telemetry registry threaded through the pipeline.
-#[derive(Debug, Default)]
-pub struct Telemetry {
-    spans: Vec<Span>,
-    counters: BTreeMap<String, u64>,
-    block_cycles: CycleHistogram,
-    block_events: Vec<BlockEvent>,
-    /// Memory traffic by source, filled by the exec path.
-    pub traffic: TrafficLedger,
-}
-
-impl Telemetry {
-    /// Fresh empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a finished span.
-    pub fn span(&mut self, name: &str, wall_ns: u64, modeled_seconds: f64, bytes: u64) {
-        self.spans.push(Span { name: name.to_string(), wall_ns, modeled_seconds, bytes });
-    }
-
-    /// Adds `delta` to counter `name` (created at zero).
-    pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Records one block event (and its cycles into the histogram).
-    pub fn block_event(&mut self, event: BlockEvent) {
-        self.block_cycles.record(event.cycles);
-        self.block_events.push(event);
-    }
-
-    /// Recorded spans, in order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Counter value (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters.
-    pub fn counters(&self) -> &BTreeMap<String, u64> {
-        &self.counters
-    }
-
-    /// Recorded block events, in batch order.
-    pub fn block_events(&self) -> &[BlockEvent] {
-        &self.block_events
-    }
-
-    /// The block-cycle histogram.
-    pub fn block_cycles(&self) -> &CycleHistogram {
-        &self.block_cycles
-    }
-
-    /// Folds `other` into `self`: spans/events append, counters and the
-    /// histogram add, traffic merges.
-    pub fn merge(&mut self, other: Telemetry) {
-        self.spans.extend(other.spans);
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        self.block_cycles.merge(&other.block_cycles);
-        self.block_events.extend(other.block_events);
-        self.traffic.merge(&other.traffic);
-    }
-
-    /// Seals the registry into a [`TraceDocument`]. Memory-traffic counters
-    /// (`mem.read.<source>` / `mem.write.<source>`) are derived from the
-    /// ledger here so counters and the traffic report can never disagree.
-    pub fn into_document(
-        mut self,
-        matrix: MatrixMeta,
-        system: SystemMeta,
-        exec: ExecStats,
-        codec_stages: CodecStageReport,
-        mem: &MemorySystem,
-        wall_ns_total: u64,
-    ) -> TraceDocument {
-        use recode_mem::traffic::TrafficSource;
-        for s in TrafficSource::ALL {
-            let r = self.traffic.read_bytes(s);
-            let w = self.traffic.write_bytes(s);
-            if r > 0 {
-                self.add(&format!("mem.read.{}", s.name()), r);
-            }
-            if w > 0 {
-                self.add(&format!("mem.write.{}", s.name()), w);
-            }
-        }
-        // Schema is content-dependent: a document only claims v2 when it
-        // actually carries v2 content (resilience counters; a recorder
-        // summary attached later also promotes). Runs that never touch the
-        // resilience layer keep emitting byte-identical v1 documents.
-        let has_v2_counters =
-            self.counters.keys().any(|k| k.starts_with("pool.") || k.starts_with("breaker."));
-        TraceDocument {
-            schema: if has_v2_counters { TRACE_SCHEMA } else { TRACE_SCHEMA_V1 }.to_string(),
-            matrix,
-            system,
-            wall_ns_total,
-            spans: self.spans,
-            counters: self.counters,
-            block_cycles: self.block_cycles,
-            block_events: self.block_events,
-            codec_stages,
-            mem_traffic: self.traffic.report(mem),
-            exec,
-            recorder: None,
-        }
-    }
-}
-
 /// Matrix identity in a trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatrixMeta {
@@ -386,6 +261,144 @@ pub struct TraceDocument {
 }
 
 impl TraceDocument {
+    /// Folds one finished run of either executor over `recoded` into its
+    /// document: the run's spans and block events, counters derived from
+    /// its stats, memory traffic by source, the block-cycle histogram, and
+    /// the schema stamp. `name` labels the matrix; `wall_ns_total` is the
+    /// host time of the whole run.
+    ///
+    /// Counters and traffic follow the phases the run recorded: the
+    /// `pipeline.overlap.*` and `cache.*` counters and the decoded-cache
+    /// traffic belong to pipelined runs (an `exec.overlap` span), the
+    /// dense-vector traffic to runs that multiplied (`exec.overlap` or
+    /// `exec.cpu_multiply`), and the `pool.*` counters to runs that sampled
+    /// the lane pool. `mem.read.<source>` / `mem.write.<source>` counters
+    /// are derived from the same ledger as the traffic report, so the two
+    /// can never disagree.
+    pub fn from_run(
+        recoded: &RecodedSpmv,
+        sys: &SystemConfig,
+        stats: &ExecStats,
+        name: &str,
+        wall_ns_total: u64,
+    ) -> Self {
+        let cm = recoded.compressed();
+        let mut exec = stats.clone();
+        let spans = std::mem::take(&mut exec.spans);
+        let block_events = std::mem::take(&mut exec.block_events);
+        let ran = |phase: &str| spans.iter().any(|s| s.name == phase);
+        let pipelined = ran("exec.overlap");
+        let multiplied = pipelined || ran("exec.cpu_multiply");
+
+        let mut counters = BTreeMap::new();
+        let mut add = |name: &str, value: u64| {
+            counters.insert(name.to_string(), value);
+        };
+        add("exec.jobs", stats.accel.jobs as u64);
+        add("exec.jobs_failed", stats.accel.jobs_failed as u64);
+        add("exec.blocks_retried", stats.blocks_retried as u64);
+        add("exec.blocks_fell_back", stats.blocks_fell_back as u64);
+        add("exec.fallback_bytes", stats.fallback_bytes as u64);
+        add("exec.retry_cycles", stats.retry_cycles);
+        if let Some(p) = &stats.pool {
+            add("pool.checkouts", p.checkouts);
+            add("pool.recycled_hits", p.recycled_hits);
+            add("pool.fresh_builds", p.fresh_builds);
+            add("pool.returned", p.returned);
+            add("pool.dropped_at_capacity", p.dropped_at_capacity);
+            add("pool.quarantined", p.quarantined);
+            add("pool.readmitted", p.readmitted);
+        }
+        let ov = &stats.overlap;
+        if pipelined {
+            add("pipeline.overlap.stages", ov.stages as u64);
+            add("pipeline.overlap.decode_cycles", ov.decode_cycles);
+            add("pipeline.overlap.multiply_cycles", ov.multiply_cycles);
+            add("pipeline.overlap.makespan_cycles", ov.overlapped_makespan_cycles);
+            add("pipeline.overlap.serial_cycles", ov.serial_makespan_cycles);
+            add("pipeline.overlap.saved_cycles", ov.saved_cycles());
+            add("cache.hits", ov.cache_hits);
+            add("cache.misses", ov.cache_misses);
+            add("cache.evictions", ov.cache_evictions);
+            add("cache.hit_bytes", ov.cache_hit_bytes);
+        }
+
+        let mut traffic = TrafficLedger::new();
+        traffic.read(TrafficSource::CompressedStream, stats.compressed_bytes as u64);
+        traffic.read(TrafficSource::FallbackRefetch, stats.fallback_bytes as u64);
+        traffic.read(TrafficSource::RowPtr, ((cm.nrows + 1) * 8) as u64);
+        traffic.read(TrafficSource::DecodedCache, ov.cache_hit_bytes);
+        if multiplied {
+            traffic.read(TrafficSource::Vectors, (cm.ncols * 8) as u64);
+            traffic.write(TrafficSource::Vectors, (cm.nrows * 8) as u64);
+        }
+        for s in TrafficSource::ALL {
+            let (r, w) = (traffic.read_bytes(s), traffic.write_bytes(s));
+            if r > 0 {
+                add(&format!("mem.read.{}", s.name()), r);
+            }
+            if w > 0 {
+                add(&format!("mem.write.{}", s.name()), w);
+            }
+        }
+
+        let mut block_cycles = CycleHistogram::new();
+        for e in &block_events {
+            block_cycles.record(e.cycles);
+        }
+        let mut doc = TraceDocument {
+            schema: TRACE_SCHEMA_V1.to_string(),
+            matrix: MatrixMeta {
+                name: name.to_string(),
+                nrows: cm.nrows,
+                ncols: cm.ncols,
+                nnz: cm.nnz,
+                compressed_bytes: stats.compressed_bytes,
+                bytes_per_nnz: cm.bytes_per_nnz(),
+            },
+            system: SystemMeta {
+                memory: sys.mem.name.to_string(),
+                lanes: sys.udp.lanes,
+                freq_hz: sys.udp.freq_hz,
+            },
+            wall_ns_total,
+            spans,
+            counters,
+            block_cycles,
+            block_events,
+            codec_stages: recoded.stage_telemetry().map(|t| t.snapshot()).unwrap_or_default(),
+            mem_traffic: traffic.report(&sys.mem),
+            exec,
+            recorder: None,
+        };
+        // Schema is content-dependent: a document only claims v2 when it
+        // carries v2 content, so runs that never touch the resilience layer
+        // keep emitting byte-identical v1 documents.
+        if doc.has_v2_content() {
+            doc.schema = TRACE_SCHEMA.to_string();
+        }
+        doc
+    }
+
+    /// Records the circuit breaker's posture after the run as `breaker.*`
+    /// counters — v2 content, so this promotes the schema stamp.
+    /// `breaker.state` is a code: 0 closed, 1 open, 2 half-open.
+    pub fn attach_breaker(&mut self, breaker: &CircuitBreaker) {
+        let state = match breaker.state() {
+            BreakerState::Closed => 0,
+            BreakerState::Open => 1,
+            BreakerState::HalfOpen => 2,
+        };
+        for (name, value) in [
+            ("breaker.trips", breaker.trips()),
+            ("breaker.probes", breaker.probes()),
+            ("breaker.state", state),
+        ] {
+            self.counters.insert(name.to_string(), value);
+        }
+        self.schema = TRACE_SCHEMA.to_string();
+    }
+
     /// Sum of measured span time (nanoseconds).
     pub fn spans_wall_ns(&self) -> u64 {
         self.spans.iter().map(|s| s.wall_ns).sum()
@@ -768,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_records_and_merges() {
+    fn histogram_records_samples() {
         let mut a = CycleHistogram::new();
         for v in [0u64, 1, 5, 5, 1000] {
             a.record(v);
@@ -779,65 +792,5 @@ mod tests {
         assert_eq!(a.max, 1000);
         assert_eq!(a.buckets[&0], 1);
         assert_eq!(a.buckets[&3], 2, "two fives in [4,7]");
-
-        let mut b = CycleHistogram::new();
-        b.record(7);
-        b.record(2000);
-        a.merge(&b);
-        assert_eq!(a.count, 7);
-        assert_eq!(a.sum, 1011 + 2007);
-        assert_eq!(a.max, 2000);
-        assert_eq!(a.buckets[&3], 3, "7 joins the [4,7] bucket");
-
-        let mut empty = CycleHistogram::new();
-        empty.merge(&a);
-        assert_eq!(empty, a, "merge into empty copies");
-        let snapshot = a.clone();
-        a.merge(&CycleHistogram::new());
-        assert_eq!(a, snapshot, "merging empty is a no-op");
-    }
-
-    #[test]
-    fn counter_merge_adds_and_unions() {
-        let mut a = Telemetry::new();
-        a.add("exec.blocks_retried", 2);
-        a.add("exec.jobs", 10);
-        let mut b = Telemetry::new();
-        b.add("exec.blocks_retried", 3);
-        b.add("exec.blocks_fell_back", 1);
-        a.merge(b);
-        assert_eq!(a.counter("exec.blocks_retried"), 5);
-        assert_eq!(a.counter("exec.jobs"), 10);
-        assert_eq!(a.counter("exec.blocks_fell_back"), 1);
-        assert_eq!(a.counter("never.touched"), 0);
-    }
-
-    #[test]
-    fn telemetry_merge_concatenates_spans_and_events() {
-        let mut a = Telemetry::new();
-        a.span("exec.decode_batch", 100, 0.5, 64);
-        a.block_event(BlockEvent {
-            job: 0,
-            stream: StreamKind::Index,
-            block: 0,
-            lane: 0,
-            cycles: 10,
-            outcome: BlockOutcome::Ok,
-        });
-        let mut b = Telemetry::new();
-        b.span("exec.retry", 50, 0.0, 0);
-        b.block_event(BlockEvent {
-            job: 1,
-            stream: StreamKind::Value,
-            block: 0,
-            lane: 1,
-            cycles: 20,
-            outcome: BlockOutcome::Retried,
-        });
-        a.merge(b);
-        assert_eq!(a.spans().len(), 2);
-        assert_eq!(a.block_events().len(), 2);
-        assert_eq!(a.block_cycles().count, 2);
-        assert_eq!(a.block_cycles().sum, 30);
     }
 }

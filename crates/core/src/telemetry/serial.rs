@@ -9,7 +9,9 @@
 //! when absent. The writer leaves out `backoff_cycles` when zero,
 //! `software_decode` when false and `recorder` when `None`, so clean runs
 //! still render as v1 documents; `blocks_ok` and `blocks_recovered` are
-//! in-memory accounting and never written.
+//! in-memory accounting and never written. The run's `spans`,
+//! `block_events` and `pool` deltas are written at the document's top
+//! level (the pool deltas as `pool.*` counters), never inside `exec`.
 
 use super::{
     BlockEvent, BlockOutcome, CycleHistogram, MatrixMeta, RecorderSummary, Span, StreamKind,
@@ -316,6 +318,9 @@ impl FromJson for ExecStats {
             blocks_ok: 0,
             blocks_recovered: 0,
             overlap: v.field_or_default("overlap")?,
+            spans: Vec::new(),
+            block_events: Vec::new(),
+            pool: None,
         })
     }
 }
@@ -323,31 +328,43 @@ impl FromJson for ExecStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::Telemetry;
+    use crate::telemetry::TRACE_SCHEMA_V1;
+    use recode_mem::traffic::TrafficLedger;
     use recode_mem::MemorySystem;
 
     fn doc() -> TraceDocument {
-        let mut tel = Telemetry::new();
-        tel.span("exec.decode_batch", 10, 2.5e-7, 64);
-        tel.add("exec.jobs", 1);
-        tel.block_event(BlockEvent {
+        let event = BlockEvent {
             job: 0,
             stream: StreamKind::Value,
             block: 0,
             lane: 0,
             cycles: 300,
             outcome: BlockOutcome::Retried,
-        });
+        };
+        let mut block_cycles = CycleHistogram::new();
+        block_cycles.record(event.cycles);
         let mut exec = ExecStats::default();
         exec.accel.lane_profiles = vec![LaneProfile { lane: 0, jobs: 1, ..LaneProfile::default() }];
-        tel.into_document(
-            MatrixMeta { name: "m".into(), nrows: 2, ncols: 2, nnz: 3, ..MatrixMeta::default() },
-            SystemMeta { memory: "DDR4".into(), lanes: 1, freq_hz: 1.6e9 },
+        TraceDocument {
+            schema: TRACE_SCHEMA_V1.to_string(),
+            matrix: MatrixMeta {
+                name: "m".into(),
+                nrows: 2,
+                ncols: 2,
+                nnz: 3,
+                ..MatrixMeta::default()
+            },
+            system: SystemMeta { memory: "DDR4".into(), lanes: 1, freq_hz: 1.6e9 },
+            wall_ns_total: 20,
+            spans: vec![Span::new("exec.decode_batch", 10, 2.5e-7, 64)],
+            counters: BTreeMap::from([("exec.jobs".to_string(), 1)]),
+            block_cycles,
+            block_events: vec![event],
+            codec_stages: CodecStageReport::default(),
+            mem_traffic: TrafficLedger::new().report(&MemorySystem::ddr4()),
             exec,
-            CodecStageReport::default(),
-            &MemorySystem::ddr4(),
-            20,
-        )
+            recorder: None,
+        }
     }
 
     fn without(mut v: Json, path: &[&str]) -> Json {

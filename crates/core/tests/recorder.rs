@@ -198,7 +198,7 @@ fn refused_retries_record_no_retry_event_on_either_executor() {
     let sys = SystemConfig::ddr4();
     let hook = FaultHook::new().trap(0);
     let budget = JobBudget { max_total_retries: Some(0), ..JobBudget::default() };
-    let opts = || RunOptions { faults: Some(&hook), budget: Some(&budget), trace: None };
+    let opts = || RunOptions { faults: Some(&hook), budget: Some(&budget) };
     let retries = |events: &[Event]| events.iter().filter(|e| e.kind == EventKind::Retry).count();
 
     enable(4096);

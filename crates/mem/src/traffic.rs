@@ -5,7 +5,7 @@
 //! not just *how much* traffic SpMV generates but *why*: compressed-stream
 //! reads, fallback re-fetches after unrecoverable blocks, dense-vector
 //! traffic, and the raw `row_ptr` array. A [`TrafficLedger`] is plain
-//! counters (filled single-threaded on the exec path); [`TrafficReport`]
+//! counters (filled when a run is folded into its trace); [`TrafficReport`]
 //! is its serializable snapshot with time/energy attached via a
 //! [`MemorySystem`].
 
@@ -99,14 +99,6 @@ impl TrafficLedger {
         self.read.iter().sum::<u64>() + self.write.iter().sum::<u64>()
     }
 
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &TrafficLedger) {
-        for i in 0..TrafficSource::ALL.len() {
-            self.read[i] += other.read[i];
-            self.write[i] += other.write[i];
-        }
-    }
-
     /// Serializable snapshot with modeled stream time and energy on `mem`.
     pub fn report(&self, mem: &MemorySystem) -> TrafficReport {
         let total = self.total_bytes();
@@ -170,18 +162,6 @@ mod tests {
         assert_eq!(t.write_bytes(TrafficSource::Vectors), 400);
         assert_eq!(t.read_bytes(TrafficSource::RowPtr), 0);
         assert_eq!(t.total_bytes(), 2764);
-    }
-
-    #[test]
-    fn merge_is_fieldwise() {
-        let mut a = TrafficLedger::new();
-        a.read(TrafficSource::RowPtr, 10);
-        let mut b = TrafficLedger::new();
-        b.read(TrafficSource::RowPtr, 5);
-        b.write(TrafficSource::Vectors, 7);
-        a.merge(&b);
-        assert_eq!(a.read_bytes(TrafficSource::RowPtr), 15);
-        assert_eq!(a.write_bytes(TrafficSource::Vectors), 7);
     }
 
     #[test]

@@ -93,8 +93,8 @@ impl Default for PoolConfig {
     }
 }
 
-/// Monotonic pool counters, exported into telemetry as `pool.*` counters by
-/// the traced exec paths.
+/// Monotonic pool counters; the batch executor reports their deltas over a
+/// run, which trace documents carry as `pool.*` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total checkouts served.
@@ -111,6 +111,24 @@ pub struct PoolStats {
     pub quarantined: u64,
     /// Quarantined lanes readmitted on probation.
     pub readmitted: u64,
+}
+
+impl PoolStats {
+    /// What happened between `before` and `self`. Saturating:
+    /// [`LanePool::reset`] can zero the counters in between.
+    pub fn since(&self, before: &PoolStats) -> PoolStats {
+        PoolStats {
+            checkouts: self.checkouts.saturating_sub(before.checkouts),
+            recycled_hits: self.recycled_hits.saturating_sub(before.recycled_hits),
+            fresh_builds: self.fresh_builds.saturating_sub(before.fresh_builds),
+            returned: self.returned.saturating_sub(before.returned),
+            dropped_at_capacity: self
+                .dropped_at_capacity
+                .saturating_sub(before.dropped_at_capacity),
+            quarantined: self.quarantined.saturating_sub(before.quarantined),
+            readmitted: self.readmitted.saturating_sub(before.readmitted),
+        }
+    }
 }
 
 /// Everything behind the pool's single mutex.

@@ -102,7 +102,7 @@ fn spmv_trace_report_and_check_workflow() {
         .expect("run spmv --trace");
     assert!(out.status.success(), "spmv: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
-    // The batch traced path reports pool.* counters, which are v2 content.
+    // The batch path reports pool.* counters, which are v2 content.
     assert!(text.contains("trace (recode-trace/v2) written"), "{text}");
     assert!(text.contains("verified against the uncompressed kernel"), "{text}");
 
@@ -183,6 +183,36 @@ fn spmv_trace_report_and_check_workflow() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("nesting"));
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Pipelined-executor traces carry no per-stage cycle attribution, so
+/// `trace-check --bounds` must treat stage activity as unknown instead of
+/// deriving a zero per-event cap from the missing data.
+#[test]
+fn overlap_trace_passes_the_certified_bounds_check() {
+    // Its own directory: other tests remove the shared one when they end.
+    let dir = tmpdir().with_extension("overlap");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mtx = dir.join("overlap.mtx");
+    let trace = dir.join("overlap-trace.json");
+    let out = bin()
+        .args(["gen", "stencil2d", "8000", "-o", mtx.to_str().unwrap()])
+        .output()
+        .expect("run gen");
+    assert!(out.status.success(), "gen: {}", String::from_utf8_lossy(&out.stderr));
+    let out = bin()
+        .args(["spmv", mtx.to_str().unwrap(), "--overlap", "--trace", trace.to_str().unwrap()])
+        .output()
+        .expect("run spmv --overlap --trace");
+    assert!(out.status.success(), "spmv: {}", String::from_utf8_lossy(&out.stderr));
+    let out = bin()
+        .args(["trace-check", trace.to_str().unwrap(), "--bounds"])
+        .output()
+        .expect("run trace-check --bounds");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "trace-check --bounds: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(text.contains("no stage attribution"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

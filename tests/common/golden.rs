@@ -30,13 +30,14 @@ pub fn normalize_wall(doc: &mut TraceDocument) {
     }
 }
 
-/// Runs the canonical pipelined job over `recoded` and normalizes the
-/// host wall-clock fields.
+/// Runs the canonical pipelined job over `recoded` and folds its stats
+/// into a trace document, host wall-clock fields zeroed.
 pub fn traced_overlap_run(recoded: &RecodedSpmv, ncols: usize, name: &str) -> TraceDocument {
     let sys = SystemConfig::ddr4();
     let ex = OverlapExecutor::new(recoded, golden_overlap_config());
     let x = vec![1.0; ncols];
-    let (_, _, mut doc) = ex.spmv_traced(&sys, &x, None, name).expect("traced run");
+    let (_, stats) = ex.spmv(&sys, &x).expect("pipelined run");
+    let mut doc = TraceDocument::from_run(recoded, &sys, &stats, name, 0);
     normalize_wall(&mut doc);
     doc
 }

@@ -209,7 +209,7 @@ fn retry_cycles_fold_into_makespan_under_traps() {
 
 #[test]
 fn telemetry_events_record_fault_outcomes() {
-    use recode_spmv::core::telemetry::{BlockOutcome, Telemetry};
+    use recode_spmv::core::telemetry::{BlockOutcome, TraceDocument};
     let a = test_matrix();
     let mut r = RecodedSpmv::new(&a, small_block_config()).unwrap();
     // Index block 1 is CRC-corrupt (falls back); the first value job traps
@@ -218,11 +218,11 @@ fn telemetry_events_record_fault_outcomes() {
     let n_index = r.compressed().index_stream.blocks.len();
     let hook = FaultHook::new().trap(n_index);
     let sys = SystemConfig::ddr4();
-    let mut tel = Telemetry::new();
-    let opts = RunOptions { faults: Some(&hook), trace: Some(&mut tel), ..RunOptions::default() };
-    let (b, stats) = r.decompress_via_udp_with(&sys, opts).unwrap();
+    let t_run = std::time::Instant::now();
+    let (b, stats) = r.decompress_via_udp_with(&sys, faulty(&hook)).unwrap();
+    let wall_ns = t_run.elapsed().as_nanos() as u64;
     assert_eq!(b, a);
-    let evs = tel.block_events();
+    let evs = &stats.block_events;
     assert_eq!(evs.len(), stats.accel.jobs, "one event per job");
     assert_eq!(evs[1].outcome, BlockOutcome::FellBack);
     assert_eq!(evs[1].cycles, 0);
@@ -230,9 +230,11 @@ fn telemetry_events_record_fault_outcomes() {
     assert!(evs[n_index].cycles > 0);
     let non_ok = evs.iter().filter(|e| e.outcome != BlockOutcome::Ok).count();
     assert_eq!(non_ok, 2, "exactly the two faulted jobs deviate");
-    assert_eq!(tel.counter("exec.blocks_fell_back"), 1);
-    assert!(tel.counter("exec.blocks_retried") >= 1);
-    assert_eq!(tel.counter("exec.retry_cycles"), stats.retry_cycles);
+    let doc = TraceDocument::from_run(&r, &sys, &stats, "faults", wall_ns);
+    assert!(doc.validate().is_empty(), "{:?}", doc.validate());
+    assert_eq!(doc.counter("exec.blocks_fell_back"), 1);
+    assert!(doc.counter("exec.blocks_retried") >= 1);
+    assert_eq!(doc.counter("exec.retry_cycles"), stats.retry_cycles);
 }
 
 /// Relative-tolerance check for the pipelined executor: tile-merge
@@ -363,7 +365,7 @@ fn seeded_stream_faults_through_the_overlap_executor() {
 
 #[test]
 fn overlap_recovery_keeps_blocks_in_position_and_traces_stay_valid() {
-    use recode_spmv::core::telemetry::BlockOutcome;
+    use recode_spmv::core::telemetry::{BlockOutcome, TraceDocument};
     use recode_spmv::core::{OverlapConfig, OverlapExecutor};
     let a = test_matrix();
     let mut r = RecodedSpmv::new(&a, small_block_config()).unwrap();
@@ -378,7 +380,10 @@ fn overlap_recovery_keeps_blocks_in_position_and_traces_stay_valid() {
     let y_ref = spmv(&a, &x);
     let ex =
         OverlapExecutor::new(&r, OverlapConfig { overlap: true, cache_blocks: 256, workers: 0 });
-    let (y, stats, doc) = ex.spmv_traced(&sys, &x, Some(&hook), "fault_pipeline").unwrap();
+    let t_run = std::time::Instant::now();
+    let (y, stats) = ex.spmv_with(&sys, &x, faulty(&hook)).unwrap();
+    let wall_ns = t_run.elapsed().as_nanos() as u64;
+    let doc = TraceDocument::from_run(&r, &sys, &stats, "fault_pipeline", wall_ns);
     assert_spmv_close(0, FaultKind::BitFlip, &y, &y_ref);
     assert!(stats.degraded);
     assert_eq!(stats.blocks_fell_back, 1, "the CRC-broken block needs the raw store");

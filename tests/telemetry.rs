@@ -31,7 +31,10 @@ fn traced_run() -> (Csr, TraceDocument) {
     assert_eq!(sw, a);
     let sys = SystemConfig::ddr4();
     let x = vec![1.0; a.ncols()];
-    let (_, _, doc) = r.spmv_traced(&sys, SpmvKernel::Serial, &x, None, "stencil70").unwrap();
+    let t_run = std::time::Instant::now();
+    let (_, stats) = r.spmv(&sys, SpmvKernel::Serial, &x).unwrap();
+    let wall_ns = t_run.elapsed().as_nanos() as u64;
+    let doc = TraceDocument::from_run(&r, &sys, &stats, "stencil70", wall_ns);
     (a, doc)
 }
 
@@ -149,7 +152,7 @@ fn render_report_mentions_every_section() {
     }
 }
 
-/// The batch traced path reports `pool.*` counters, which are v2 content:
+/// The batch path reports `pool.*` counters, which are v2 content:
 /// the document must stamp itself `recode-trace/v2` and carry the pool's
 /// checkout accounting.
 #[test]

@@ -128,10 +128,11 @@ fn canonical_batch_doc() -> TraceDocument {
     let sys = SystemConfig::ddr4();
     let x = vec![1.0; a.ncols()];
     let hook = FaultHook::new().trap(1);
-    let (y, _, mut doc) = recoded
-        .spmv_traced(&sys, SpmvKernel::RowParallel, &x, Some(&hook), "golden_stencil16_batch")
-        .expect("traced batch run");
+    let opts = RunOptions { faults: Some(&hook), budget: None };
+    let (y, stats) =
+        recoded.spmv_with(&sys, SpmvKernel::RowParallel, &x, opts).expect("faulted batch run");
     assert_eq!(y, spmv(&a, &x), "recovered batch run stays bit-exact");
+    let mut doc = TraceDocument::from_run(&recoded, &sys, &stats, "golden_stencil16_batch", 0);
     normalize_wall(&mut doc);
     for (name, value) in &mut doc.counters {
         if name.starts_with("pool.") {

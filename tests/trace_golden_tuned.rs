@@ -51,8 +51,8 @@ fn canonical_tuned_doc(tuned: &TunedConfig) -> TraceDocument {
     let ex = OverlapExecutor::from_tuned(&recoded, tuned, golden::golden_overlap_config())
         .expect("tuned executor");
     let x = vec![1.0; a.ncols()];
-    let (_, _, mut doc) =
-        ex.spmv_traced(&sys, &x, None, "golden_stencil16_tuned").expect("traced run");
+    let (_, stats) = ex.spmv(&sys, &x).expect("pipelined run");
+    let mut doc = TraceDocument::from_run(&recoded, &sys, &stats, "golden_stencil16_tuned", 0);
     normalize_wall(&mut doc);
     doc
 }
